@@ -99,7 +99,7 @@ def run_ic(g: WeightedGraph, seeds, p: float, rng_seed: int) -> CascadeRecord:
         t += 1
         newly = []
         for v in sorted(frontier):
-            for w in g.raw.neighbors[v]:
+            for w in g.raw.neighbors(v):
                 w = int(w)
                 if activation_time[w] >= 0:
                     continue
@@ -131,26 +131,22 @@ def run_lt(g: WeightedGraph, seeds, cfg: BaselineConfig, rng_seed: int) -> Casca
         theta = np.full(n, float(cfg.lt_theta))
 
     activation_time = np.full(n, -1, dtype=np.int64)
-    activation_time[seeds] = 0
     active = np.zeros(n, dtype=bool)
-    active[seeds] = True
     active_wsum = np.zeros(n)
-    for v in seeds:
-        active_wsum[g.raw.neighbors[v]] += g.nbr_weights[v]
-
-    new_per_step = [len(seeds)]
+    new_per_step = []
+    newly = np.asarray(seeds)
     t = 0
     while True:
-        t += 1
-        influence = active_wsum / g.weighted_degree
-        newly = np.flatnonzero(~active & (influence >= theta))
         new_per_step.append(len(newly))
         if len(newly) == 0:
             break
         active[newly] = True
         activation_time[newly] = t
-        for v in newly:
-            active_wsum[g.raw.neighbors[v]] += g.nbr_weights[v]
+        pos = g.raw.row_positions(newly)
+        np.add.at(active_wsum, g.raw.indices[pos], g.weights.data[pos])
+        t += 1
+        influence = active_wsum / g.weighted_degree
+        newly = np.flatnonzero(~active & (influence >= theta))
     return _record(g, cfg, seeds, int(rng_seed), activation_time, new_per_step, t, LT)
 
 
@@ -160,23 +156,18 @@ def run_kcomplex(g: WeightedGraph, seeds, k: int) -> CascadeRecord:
     seeds = _check_seeds(g, seeds)
     n = g.n
     activation_time = np.full(n, -1, dtype=np.int64)
-    activation_time[seeds] = 0
     active = np.zeros(n, dtype=bool)
-    active[seeds] = True
     counts = np.zeros(n, dtype=np.int64)
-    for v in seeds:
-        counts[g.raw.neighbors[v]] += 1
-
-    new_per_step = [len(seeds)]
+    new_per_step = []
+    newly = np.asarray(seeds)
     t = 0
     while True:
-        t += 1
-        newly = np.flatnonzero(~active & (counts >= k))
         new_per_step.append(len(newly))
         if len(newly) == 0:
             break
         active[newly] = True
         activation_time[newly] = t
-        for v in newly:
-            counts[g.raw.neighbors[v]] += 1
+        np.add.at(counts, g.raw.indices[g.raw.row_positions(newly)], 1)
+        t += 1
+        newly = np.flatnonzero(~active & (counts >= k))
     return _record(g, cfg, seeds, None, activation_time, new_per_step, t, KCOMPLEX)

@@ -161,13 +161,14 @@ def _parse_seeds(text) -> list:
 
 
 def _sim_params_from(args, config) -> SimParams:
+    max_steps = _merged(args, config, "max-steps", None)
     return SimParams(
         alpha=float(_merged(args, config, "alpha", 1.0 / 3.0)),
         beta=float(_merged(args, config, "beta", 1.0 / 3.0)),
         gamma=float(_merged(args, config, "gamma", 0.05)),
         epsilon=int(_merged(args, config, "epsilon", 10)),
         drift=float(_merged(args, config, "lambda", 0.0)),
-        max_steps=_merged(args, config, "max-steps", None),
+        max_steps=None if max_steps is None else int(max_steps),
         viral_fraction=float(_merged(args, config, "viral-fraction", 0.5)),
         require_contact=not bool(_merged(args, config, "spontaneous", False)),
     )
@@ -214,8 +215,7 @@ def _simulate_records(g, seeds, prop_mode, params, master_seed, n_runs, jobs):
         else:
             with open(prop_mode) as fh:
                 doc = json.load(fh)
-            vec = np.asarray(doc["vector"], dtype=np.float64)
-            vec = vec / np.linalg.norm(vec)
+            vec = Propagation.from_vector(doc["vector"]).vec
         tasks.append((seeds, vec, run_seed))
     if jobs <= 1 or len(tasks) < 4:
         _sim_init(g, params)

@@ -365,7 +365,7 @@ def rq3_size_scaling(cfg: ExperimentConfig) -> dict:
     return {"graphs": rows, "per_size": per_size, "summary": [summary] if summary else []}
 
 
-def sweep_weights(axis: str, value: float) -> SimParams | None:
+def sweep_weights(axis: str, value: float) -> tuple[float, float]:
     """Couple the two unswept weights so they split the leftover mass evenly."""
     if axis == "alpha":
         alpha, beta = value, (1.0 - value) / 2.0

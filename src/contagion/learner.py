@@ -81,7 +81,7 @@ class InfluenceGraph:
     @classmethod
     def from_weighted_graph(cls, g, name=None) -> "InfluenceGraph":
         in_nbrs = {
-            v: tuple(int(w) for w in g.raw.neighbors[v]) for v in range(g.n)
+            v: tuple(int(w) for w in g.raw.neighbors(v)) for v in range(g.n)
         }
         return cls(in_nbrs=in_nbrs, name=name)
 
@@ -385,7 +385,7 @@ def traces_from_records(records, g, id_prefix="run") -> list:
         times = {v: t for t, v in order}
         edges = []
         for v in members:
-            for w in g.raw.neighbors[v]:
+            for w in g.raw.neighbors(v):
                 w = int(w)
                 if w in times and times[w] < times[v]:
                     edges.append((w, v))

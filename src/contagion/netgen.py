@@ -28,30 +28,39 @@ PERIPHERY = "periphery"
 
 @dataclass(frozen=True)
 class RawGraph:
-    """Unweighted undirected graph with dense node ids 0..n-1 in arrival order."""
+    """Unweighted undirected graph with dense node ids 0..n-1 in arrival order.
+
+    The adjacency is one symmetric CSR: the neighbours of v, in ascending
+    order, sit at positions ``indptr[v]:indptr[v + 1]`` of ``indices``.
+    """
 
     n: int
     edges: np.ndarray  # (m, 2) int64, each row i < j, rows sorted
-    neighbors: tuple  # per-node sorted int64 arrays
-
-    @property
-    def built_order(self) -> np.ndarray:
-        # ids are assigned in insertion order, so the arrival sequence is 0..n-1
-        return np.arange(self.n, dtype=np.int64)
+    indptr: np.ndarray  # (n + 1,) row offsets into indices
+    indices: np.ndarray  # (2m,) neighbour ids, row by row
 
     @property
     def degree(self) -> np.ndarray:
-        return np.array([len(nb) for nb in self.neighbors], dtype=np.int64)
+        return np.diff(self.indptr)
+
+    def neighbors(self, v: int) -> np.ndarray:
+        return self.indices[self.indptr[v] : self.indptr[v + 1]]
+
+    def row_positions(self, rows) -> np.ndarray:
+        """CSR positions of every entry of ``rows``, row after row in the given order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        # each entry's offset from its position in the output; array methods
+        # skip numpy's function wrappers on this per-step path
+        offsets = (starts - counts.cumsum() + counts).repeat(counts)
+        return offsets + np.arange(len(offsets))
 
     def adjacency(self) -> sp.csr_matrix:
         """0/1 symmetric adjacency in CSR form."""
-        i, j = self.edges[:, 0], self.edges[:, 1]
-        data = np.ones(2 * len(self.edges))
-        mat = sp.coo_matrix(
-            (data, (np.concatenate([i, j]), np.concatenate([j, i]))),
-            shape=(self.n, self.n),
+        return sp.csr_matrix(
+            (np.ones(len(self.indices)), self.indices, self.indptr), shape=(self.n, self.n)
         )
-        return mat.tocsr()
 
 
 @dataclass(frozen=True)
@@ -81,16 +90,20 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Immutable network bundle: topology, features, weights, segments."""
+    """Immutable network bundle: topology, features, weights, segments.
+
+    ``weights`` has the CSR layout of ``raw``, so ``weights.data[e]`` is the
+    weight of the edge to ``raw.indices[e]``; the same edge seen from its
+    other endpoint sits at ``rev[e]``.
+    """
 
     raw: RawGraph
     features: FeatureMatrix
     edge_weights: np.ndarray  # (m,) aligned with raw.edges
-    weights: sp.csr_matrix  # symmetric weighted adjacency
+    weights: sp.csr_matrix  # symmetric weighted adjacency on raw's CSR layout
+    rev: np.ndarray = field(repr=False)  # (2m,) CSR position of each entry's mirror
     weighted_degree: np.ndarray  # (n,)
     segments: np.ndarray  # (n,) of {core, intermediate, periphery}
-    nbr_weights: tuple  # per-node weight arrays aligned with raw.neighbors
-    nbr_rev: tuple = field(repr=False, default=())  # position of v inside each neighbor's list
     meta: dict = field(default_factory=dict)
 
     @property
@@ -135,18 +148,21 @@ def generate_pa(n: int, r: int, rng_seed: int) -> RawGraph:
 
 
 def _finish_raw(n: int, edge_pairs) -> RawGraph:
-    edges = np.array([(min(a, b), max(a, b)) for a, b in edge_pairs], dtype=np.int64)
-    if len(edges):
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        edges = edges[order]
-    else:
-        edges = edges.reshape(0, 2)
-    adj = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    neighbors = tuple(np.array(sorted(nb), dtype=np.int64) for nb in adj)
-    return RawGraph(n=n, edges=edges, neighbors=neighbors)
+    edges = np.sort(np.asarray(edge_pairs, dtype=np.int64).reshape(-1, 2), axis=1)
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    if len(edges) and (edges[0, 0] < 0 or edges[:, 1].max() >= n):
+        raise InvalidParameter("edges", f"node ids must lie in [0, {n})")
+    if np.any(edges[:, 0] == edges[:, 1]):
+        raise InvalidParameter("edges", "self-loops are not allowed")
+    if np.any(np.all(edges[1:] == edges[:-1], axis=1)):
+        raise InvalidParameter("edges", "duplicate edge")
+    # both directions of every edge, sorted by (row, column)
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return RawGraph(n=n, edges=edges, indptr=indptr, indices=dst[order])
 
 
 def component_count(g: RawGraph) -> int:
@@ -220,8 +236,8 @@ def segment_nodes(g) -> np.ndarray:
 def assign_edge_weights(g: RawGraph, f: FeatureMatrix, meta: dict | None = None) -> WeightedGraph:
     """Weight every edge by calibrated feature similarity (1 + x_i . x_j) / 2.
 
-    Non-edges carry weight zero. Also fills weighted degrees, segments and
-    the per-node neighbor weight tables used by the simulators.
+    Non-edges carry weight zero. Also fills the weighted CSR, its
+    reverse-edge permutation, weighted degrees and segments.
     """
     if f.rows.shape[0] != g.n:
         raise InvalidParameter("features", f"expected {g.n} rows, got {f.rows.shape[0]}")
@@ -235,44 +251,22 @@ def _edge_dot_weights(g: RawGraph, rows: np.ndarray) -> np.ndarray:
 
 
 def _build_weighted(g: RawGraph, f: FeatureMatrix, edge_weights: np.ndarray, meta=None) -> WeightedGraph:
-    i, j = g.edges[:, 0], g.edges[:, 1]
-    mat = sp.coo_matrix(
-        (
-            np.concatenate([edge_weights, edge_weights]),
-            (np.concatenate([i, j]), np.concatenate([j, i])),
-        ),
-        shape=(g.n, g.n),
-    ).tocsr()
-    wdeg = np.asarray(mat.sum(axis=1)).ravel()
-
-    # per-node neighbor weight arrays aligned with g.neighbors
-    lookup = {}
-    for e, (a, b) in enumerate(g.edges):
-        lookup[(int(a), int(b))] = edge_weights[e]
-    nbr_weights = []
-    for v in range(g.n):
-        ws = np.array(
-            [lookup[(min(v, int(w)), max(v, int(w)))] for w in g.neighbors[v]],
-            dtype=np.float64,
-        )
-        nbr_weights.append(ws)
-
-    # reverse index: position of v inside each neighbor's adjacency list
-    pos = {v: {int(w): idx for idx, w in enumerate(g.neighbors[v])} for v in range(g.n)}
-    nbr_rev = tuple(
-        np.array([pos[int(w)][v] for w in g.neighbors[v]], dtype=np.int64)
-        for v in range(g.n)
-    )
-
+    n = g.n
+    rows = np.repeat(np.arange(n, dtype=np.int64), g.degree)
+    cols = g.indices
+    # (row, column) keys ascend along the CSR, (i, j) keys along raw.edges
+    edge_of = np.searchsorted(g.edges[:, 0] * n + g.edges[:, 1],
+                              np.minimum(rows, cols) * n + np.maximum(rows, cols))
+    rev = np.searchsorted(rows * n + cols, cols * n + rows)
+    mat = sp.csr_matrix((edge_weights[edge_of], g.indices, g.indptr), shape=(n, n))
     return WeightedGraph(
         raw=g,
         features=f,
         edge_weights=edge_weights,
         weights=mat,
-        weighted_degree=wdeg,
+        rev=rev,
+        weighted_degree=np.asarray(mat.sum(axis=1)).ravel(),
         segments=segment_nodes(g),
-        nbr_weights=tuple(nbr_weights),
-        nbr_rev=nbr_rev,
         meta=dict(meta or {}),
     )
 
@@ -325,17 +319,40 @@ def save_graph(g: WeightedGraph, path) -> None:
 
 
 def load_graph(path) -> WeightedGraph:
-    """Rebuild a WeightedGraph from its JSON document."""
+    """Rebuild a WeightedGraph from its JSON document.
+
+    Raises InvalidParameter unless the document holds a simple graph on nodes
+    0..n-1, exactly one weight in [0, 1] per edge, n unit feature rows and,
+    when present, n segment labels.
+    """
     with open(path) as fh:
         doc = json.load(fh)
-    n = int(doc["n"])
-    raw = _finish_raw(n, [(int(a), int(b)) for a, b in doc["edges"]])
-    feats = make_unit_features(doc["features"])
-    wlookup = {(min(a, b), max(a, b)): float(w) for a, b, w in doc["weights"]}
-    edge_weights = np.array(
-        [wlookup[(int(a), int(b))] for a, b in raw.edges], dtype=np.float64
-    )
-    g = _build_weighted(raw, feats, edge_weights, meta={"r": doc.get("r"), "seed": doc.get("seed")})
+    try:
+        n = int(doc["n"])
+        edges = np.asarray(doc["edges"], dtype=np.int64).reshape(-1, 2)
+        table = np.asarray(doc["weights"], dtype=np.float64).reshape(-1, 3)
+        rows = np.asarray(doc["features"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as err:
+        raise InvalidParameter("graph", f"malformed graph document: {err}") from None
+    if n < 1:
+        raise InvalidParameter("graph", f"need n >= 1, got {n}")
+    raw = _finish_raw(n, edges)
+
+    pairs = np.sort(table[:, :2].astype(np.int64), axis=1)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    if len(table) != len(raw.edges) or not np.array_equal(pairs[order], raw.edges):
+        raise InvalidParameter("weights", "need exactly one weight row per edge")
+    edge_weights = table[order, 2]
+    if not np.all((edge_weights >= 0.0) & (edge_weights <= 1.0)):
+        raise InvalidParameter("weights", "edge weights must lie in [0, 1]")
+    if rows.ndim != 2 or len(rows) != n:
+        raise InvalidParameter("features", f"expected {n} feature rows")
+
+    g = _build_weighted(raw, make_unit_features(rows), edge_weights,
+                        meta={"r": doc.get("r"), "seed": doc.get("seed")})
     if "segments" in doc:
-        g.segments[:] = np.array(doc["segments"], dtype="<U12")
+        segments = np.asarray(doc["segments"], dtype="<U12")
+        if segments.shape != (n,) or not np.isin(segments, (CORE, INTERMEDIATE, PERIPHERY)).all():
+            raise InvalidParameter("segments", f"expected {n} labels from core|intermediate|periphery")
+        g.segments[:] = segments
     return g

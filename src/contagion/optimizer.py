@@ -87,7 +87,7 @@ def _hop_set(g: WeightedGraph, v: int, max_hops: int) -> set:
     for _ in range(max_hops):
         nxt = []
         for u in frontier:
-            for w in g.raw.neighbors[u]:
+            for w in g.raw.neighbors(u):
                 w = int(w)
                 if w not in seen:
                     seen.add(w)
@@ -101,7 +101,7 @@ def _bfs_parents(g: WeightedGraph, v: int):
     queue = deque([v])
     while queue:
         u = queue.popleft()
-        for w in g.raw.neighbors[u]:
+        for w in g.raw.neighbors(u):
             w = int(w)
             if w not in parent:
                 parent[w] = u
@@ -156,7 +156,7 @@ def build_candidate_pool(g: WeightedGraph, v: int, K: int, top_deg: int,
     for node in sorted(pool):
         own = rows[node].copy()
         candidates.append(Candidate(node=node, kind=OWN, vec=own))
-        summed = rows[node] + rows[g.raw.neighbors[node]].sum(axis=0)
+        summed = rows[node] + rows[g.raw.neighbors(node)].sum(axis=0)
         norm = float(np.linalg.norm(summed))
         if norm < 1e-12:
             hood = own
@@ -306,8 +306,7 @@ def _probe_one_step(g, state_nodes, times, vec, params, seed):
             by_time[t].append(n)
 
     for t in sorted(by_time):
-        for n in by_time[t]:
-            _activate(state, g, n, t)
+        _activate(state, g, by_time[t], t)
         state.step = t
     rng = np.random.default_rng(seed)
     before = state.active_count

@@ -41,7 +41,7 @@ class Propagation:
 
     def __post_init__(self):
         norm = float(np.linalg.norm(self.vec))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # also rejects NaN entries
             raise InvalidParameter("propagation", f"vector norm {norm} is not 1")
 
     @classmethod
@@ -51,6 +51,8 @@ class Propagation:
         norm = float(np.linalg.norm(arr))
         if norm == 0.0:
             raise InvalidParameter("propagation", "zero vector cannot be normalized")
+        if not np.isfinite(norm):
+            raise InvalidParameter("propagation", "vector entries must be finite")
         return cls(vec=arr / norm)
 
 
@@ -83,8 +85,8 @@ class SimParams:
             raise InvalidParameter("beta", f"must be in [0,1], got {self.beta}")
         if self.alpha + self.beta > 1.0 + 1e-12:
             raise InvalidParameter("beta", f"alpha + beta = {self.alpha + self.beta} exceeds 1")
-        if self.gamma < 0.0:
-            raise InvalidParameter("gamma", f"must be >= 0, got {self.gamma}")
+        if not 0.0 <= self.gamma < np.inf:
+            raise InvalidParameter("gamma", f"must be finite and >= 0, got {self.gamma}")
         if self.epsilon < 1:
             raise InvalidParameter("epsilon", f"cooling period must be >= 1, got {self.epsilon}")
         if not 0.0 <= self.drift <= 1.0:
@@ -127,8 +129,9 @@ class CascadeState:
 
     ``active_wsum[v]`` caches the live-weight mass of v's active neighbors so
     the scaled local influence is just ``active_wsum[v] / live_degree[v]``.
-    Feature and weight tables are shared with the graph until drift first
-    writes, then copied.
+    ``live_weights`` is the data array of the graph's weight CSR. Features,
+    weights and degrees are shared with the graph until drift first writes,
+    then copied.
     """
 
     active: np.ndarray
@@ -140,7 +143,7 @@ class CascadeState:
     active_wsum: np.ndarray
     live_degree: np.ndarray
     live_features: np.ndarray
-    live_nbr_weights: list
+    live_weights: np.ndarray  # aligned with g.raw.indices
     affinity_hat: np.ndarray
     owns_live: bool = False
 
@@ -248,22 +251,27 @@ def init_state(g: WeightedGraph, c, seeds, p: SimParams) -> CascadeState:
         active_wsum=active_wsum,
         live_degree=g.weighted_degree,
         live_features=g.features.rows,
-        live_nbr_weights=list(g.nbr_weights),
+        live_weights=g.weights.data,
         affinity_hat=np.clip((1.0 + g.features.rows @ vec) / 2.0, 0.0, 1.0),
         owns_live=False,
     )
-    for v in seeds:
-        _activate(state, g, v, 0)
+    _activate(state, g, seeds, 0)
     return state
 
 
-def _activate(state: CascadeState, g: WeightedGraph, v: int, t: int) -> None:
-    state.active[v] = True
-    state.activation_time[v] = t
-    state.active_count += 1
-    nbrs = g.raw.neighbors[v]
-    state.active_nbr_count[nbrs] += 1
-    state.active_wsum[nbrs] += state.live_nbr_weights[v]
+def _activate(state: CascadeState, g: WeightedGraph, nodes, t: int) -> None:
+    """Activate distinct ``nodes`` at step t and credit their neighbours.
+
+    One scatter over the nodes' CSR rows in the given order adds to every
+    neighbour in the same order as activating the nodes one by one.
+    """
+    state.active[nodes] = True
+    state.activation_time[nodes] = t
+    state.active_count += len(nodes)
+    pos = g.raw.row_positions(nodes)
+    nbrs = g.raw.indices[pos]
+    np.add.at(state.active_nbr_count, nbrs, 1)
+    np.add.at(state.active_wsum, nbrs, state.live_weights[pos])
 
 
 def _ensure_owned(state: CascadeState, g: WeightedGraph) -> None:
@@ -271,7 +279,7 @@ def _ensure_owned(state: CascadeState, g: WeightedGraph) -> None:
     if not state.owns_live:
         state.live_features = state.live_features.copy()
         state.live_degree = state.live_degree.copy()
-        state.live_nbr_weights = [w.copy() for w in state.live_nbr_weights]
+        state.live_weights = state.live_weights.copy()
         state.owns_live = True
 
 
@@ -298,23 +306,24 @@ def _apply_drift(state: CascadeState, g: WeightedGraph, c, lam: float, new_nodes
     one another's updated features once processed.
     """
     _ensure_owned(state, g)
+    indptr = g.raw.indptr
     for v in sorted(int(x) for x in new_nodes):
         new_x = drift_update(state.live_features[v], c, lam)
         state.live_features[v] = new_x
-        nbrs = g.raw.neighbors[v]
-        old_w = state.live_nbr_weights[v]
+        row = slice(indptr[v], indptr[v + 1])
+        nbrs = g.raw.indices[row]
         new_w = np.clip((1.0 + state.live_features[nbrs] @ new_x) / 2.0, 0.0, 1.0)
-        delta = new_w - old_w
-        state.live_nbr_weights[v] = new_w
+        delta = new_w - state.live_weights[row]
+        state.live_weights[row] = new_w
+        state.live_weights[g.rev[row]] = new_w
         state.live_degree[v] += float(delta.sum())
-        for idx, w in enumerate(nbrs):
-            w = int(w)
-            state.live_nbr_weights[w][g.nbr_rev[v][idx]] = new_w[idx]
-            state.live_degree[w] += delta[idx]
-            # v is active, so its weight change moves the neighbor's active mass
-            state.active_wsum[w] += delta[idx]
-            if state.active[w]:
-                state.active_wsum[v] += delta[idx]
+        state.live_degree[nbrs] += delta
+        # v is active, so its weight change moves the neighbors' active mass
+        state.active_wsum[nbrs] += delta
+        for d in delta[state.active[nbrs]]:
+            # one add per active neighbor in neighbor order; pinned-seed
+            # records depend on this rounding
+            state.active_wsum[v] += d
 
 
 def step(state: CascadeState, c, g: WeightedGraph, p: SimParams,
@@ -348,10 +357,10 @@ def step(state: CascadeState, c, g: WeightedGraph, p: SimParams,
     hits = rng.random(len(eligible)) < probs
     new_nodes = eligible[hits]
 
-    for v in new_nodes:
-        _activate(state, g, v, t)
-    if p.drift > 0.0 and len(new_nodes):
-        _apply_drift(state, g, c, p.drift, new_nodes)
+    if len(new_nodes):
+        _activate(state, g, new_nodes, t)
+        if p.drift > 0.0:
+            _apply_drift(state, g, c, p.drift, new_nodes)
 
     state.step = t
     state.stable_steps = 0 if len(new_nodes) else state.stable_steps + 1
@@ -387,32 +396,17 @@ def step_probs_matrix(state: CascadeState, c, g: WeightedGraph, p: SimParams) ->
     """Activation-probability vector for every node via the matrix form.
 
     gamma * (alpha * Fhat + beta * (D^-1 W (2Y - 1) + 1) / 2 + gw * GI * 1),
-    which reproduces the per-node scores exactly. Uses the live weight table
-    when drift has modified it.
+    which reproduces the per-node scores exactly. Reads the live weights,
+    which drift may have rewritten.
     """
     vec = as_propagation(c).vec
-    if state.owns_live:
-        weights = _live_csr(state, g)
-        degree = state.live_degree
-    else:
-        weights = g.weights
-        degree = g.weighted_degree
+    weights = sp.csr_matrix((state.live_weights, g.raw.indices, g.raw.indptr), shape=(g.n, g.n))
     fhat = (1.0 + state.live_features @ vec) / 2.0
     signed = 2.0 * state.active.astype(np.float64) - 1.0
-    li_hat = ((weights @ signed) / degree + 1.0) / 2.0
+    li_hat = ((weights @ signed) / state.live_degree + 1.0) / 2.0
     gi = state.active_count / state.n
     probs = p.gamma * (p.alpha * fhat + p.beta * li_hat + p.global_weight * gi)
     return np.clip(probs, 0.0, 1.0)
-
-
-def _live_csr(state: CascadeState, g: WeightedGraph) -> sp.csr_matrix:
-    rows, cols, vals = [], [], []
-    for v in range(g.n):
-        nbrs = g.raw.neighbors[v]
-        rows.extend([v] * len(nbrs))
-        cols.extend(int(w) for w in nbrs)
-        vals.extend(state.live_nbr_weights[v])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(g.n, g.n)).tocsr()
 
 
 def self_propagation(g: WeightedGraph, v: int) -> Propagation:

@@ -11,13 +11,22 @@ from collections import defaultdict
 import numpy as np
 
 
+def incident_edges(g, v: int):
+    """(neighbor, weight) pairs of v, scanned from the edge list."""
+    for (a, b), wt in zip(g.raw.edges, g.edge_weights):
+        if a == v:
+            yield int(b), float(wt)
+        elif b == v:
+            yield int(a), float(wt)
+
+
 def naive_activation_prob(g, active: frozenset, v: int, c_vec, params) -> float:
     """Eq.-by-eq per-node activation probability, plain python sums."""
     x_v = g.features.rows[v]
     aff = (1.0 + float(np.dot(c_vec, x_v))) / 2.0
     num = 0.0
     den = 0.0
-    for w, wt in zip(g.raw.neighbors[v], g.nbr_weights[v]):
+    for w, wt in incident_edges(g, v):
         den += wt
         if int(w) in active:
             num += wt
@@ -35,7 +44,7 @@ def eligible_nodes(g, active: frozenset, require_contact: bool):
     for v in range(g.n):
         if v in active:
             continue
-        if require_contact and not any(int(w) in active for w in g.raw.neighbors[v]):
+        if require_contact and not any(w in active for w, _ in incident_edges(g, v)):
             continue
         out.append(v)
     return out

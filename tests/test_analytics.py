@@ -92,7 +92,7 @@ def test_clique_scenario_graph_shape():
     assert g2.n == 3
     assert len(g2.raw.edges) == 2
     g10, c = make_clique_scenario_graph(10, dot=0.3)
-    assert len(g10.raw.neighbors[1]) == 10  # bridge degree k
+    assert len(g10.raw.neighbors(1)) == 10  # bridge degree k
     assert float(g10.features.rows[1] @ c.vec) == pytest.approx(0.3)
     assert np.all(g10.edge_weights == 1.0)
 

@@ -85,6 +85,25 @@ def test_simulate_affinity_and_vector_file(graph_file, tmp_path):
     assert rec["propagation"][0] == pytest.approx(1.0)
 
 
+def test_simulate_rejects_zero_vector_file(graph_file, tmp_path):
+    vec_file = tmp_path / "zero.json"
+    vec_file.write_text(json.dumps({"vector": [0.0] * 6}))
+    out = tmp_path / "zero.jsonl"
+    code = run_cli("simulate", "--graph", str(graph_file), "--seeds", "1",
+                   "--prop", str(vec_file), "--runs", "2", "--out", str(out))
+    assert code == 2
+    assert not out.exists()
+
+
+def test_simulate_config_max_steps_string(graph_file, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": str(graph_file), "max-steps": "50"}))
+    out = tmp_path / "capped.jsonl"
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 0
+    rec = json.loads(out.read_text().splitlines()[0])
+    assert rec["params"]["max_steps"] == 50
+
+
 def test_simulate_with_drift(graph_file, tmp_path):
     out = tmp_path / "drift.jsonl"
     code = run_cli("simulate", "--graph", str(graph_file), "--seeds", "0",

@@ -119,9 +119,35 @@ def test_weights_symmetric_bounded_and_degrees(pa_graph_small):
     g = pa_graph_small
     assert (g.weights != g.weights.T).nnz == 0
     assert np.all(g.edge_weights >= 0.0) and np.all(g.edge_weights <= 1.0)
-    recomputed = np.array([g.nbr_weights[v].sum() for v in range(g.n)])
+    ends = g.raw.edges
+    recomputed = (np.bincount(ends[:, 0], weights=g.edge_weights, minlength=g.n)
+                  + np.bincount(ends[:, 1], weights=g.edge_weights, minlength=g.n))
     assert np.all(np.abs(recomputed - g.weighted_degree) <= 1e-12)
     assert np.all(g.weighted_degree > 0)
+
+
+def test_csr_layout_and_reverse_permutation(pa_graph_small):
+    g = pa_graph_small
+    raw = g.raw
+    assert np.array_equal(raw.degree, np.bincount(raw.edges.ravel(), minlength=g.n))
+    for v in (0, 57, 199):
+        expected = sorted({int(b) for a, b in raw.edges if a == v} | {int(a) for a, b in raw.edges if b == v})
+        assert list(raw.neighbors(v)) == expected
+    # weights.data lines up with raw.indices and rev points at the mirror entry
+    assert np.array_equal(g.weights.indptr, raw.indptr)
+    assert np.array_equal(g.weights.indices, raw.indices)
+    rows = np.repeat(np.arange(g.n), raw.degree)
+    assert np.array_equal(raw.indices[g.rev], rows)
+    assert np.array_equal(rows[g.rev], raw.indices)
+    assert np.array_equal(g.weights.data[g.rev], g.weights.data)
+    weight_of = {(int(a), int(b)): w for (a, b), w in zip(raw.edges, g.edge_weights)}
+    for e in range(0, len(raw.indices), 37):
+        a, b = sorted((int(rows[e]), int(raw.indices[e])))
+        assert g.weights.data[e] == weight_of[(a, b)]
+    pos = raw.row_positions([57, 3, 58])
+    assert np.array_equal(raw.indices[pos], np.concatenate(
+        [raw.neighbors(57), raw.neighbors(3), raw.neighbors(58)]))
+    assert len(raw.row_positions([])) == 0
 
 
 def test_feature_dimension_mismatch():
@@ -184,6 +210,50 @@ def test_graph_roundtrip(tmp_path, pa_graph_small):
     assert list(loaded.segments) == list(pa_graph_small.segments)
     doc = json.loads(path.read_text())
     assert set(doc) == {"n", "r", "seed", "edges", "features", "weights", "segments"}
+
+
+def _break_missing_weight(doc):
+    doc["weights"].pop(3)
+
+
+def _break_out_of_range_edge(doc):
+    doc["edges"][0] = [0, doc["n"]]
+
+
+def _break_short_segments(doc):
+    doc["segments"] = doc["segments"][:-2]
+
+
+def _break_duplicate_edge(doc):
+    doc["edges"].append(list(doc["edges"][0]))
+    doc["weights"].append(list(doc["weights"][0]))
+
+
+def _break_feature_rows(doc):
+    doc["features"] = doc["features"][:5]
+
+
+def _break_self_loop(doc):
+    doc["edges"].append([4, 4])
+    doc["weights"].append([4, 4, 1.0])
+
+
+@pytest.mark.parametrize("corrupt", [
+    _break_missing_weight,
+    _break_out_of_range_edge,
+    _break_short_segments,
+    _break_duplicate_edge,
+    _break_feature_rows,
+    _break_self_loop,
+])
+def test_load_graph_rejects_bad_documents(tmp_path, corrupt):
+    path = tmp_path / "g.json"
+    save_graph(build_graph(30, 2, 4, seed=3), path)
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidParameter):
+        load_graph(path)
 
 
 def test_build_graph_meta():

@@ -40,6 +40,14 @@ def test_propagation_validation():
         Propagation.from_vector([0.0, 0.0])
 
 
+@pytest.mark.parametrize("vec", [[np.nan, 0.0], [1.0, np.nan], [np.inf, 0.0]])
+def test_propagation_rejects_non_finite(vec):
+    with pytest.raises(InvalidParameter):
+        Propagation(vec=np.array(vec))
+    with pytest.raises(InvalidParameter):
+        Propagation.from_vector(vec)
+
+
 def test_simparams_validation():
     with pytest.raises(InvalidParameter):
         SimParams(alpha=0.7, beta=0.7)
@@ -52,6 +60,12 @@ def test_simparams_validation():
     p = SimParams()
     assert p.global_weight == pytest.approx(1.0 / 3.0)
     assert p.resolve_max_steps(1000) == 10000
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf])
+def test_simparams_rejects_non_finite_gamma(gamma):
+    with pytest.raises(InvalidParameter):
+        SimParams(gamma=gamma)
 
 
 def test_simparams_dict_roundtrip():
@@ -265,6 +279,22 @@ def test_step_probs_matrix_equals_scalar_loop(pa_graph_small):
         assert np.max(np.abs(mat - loop)) < 1e-12
 
 
+def test_batched_activation_matches_node_by_node(pa_graph_small):
+    # one scatter over many rows adds to each neighbor in the order of the
+    # given nodes, so the sums equal a node-by-node loop bit for bit
+    g = pa_graph_small
+    nodes = np.random.default_rng(2).permutation(g.n)[:150]
+    state = init_state(g, self_propagation(g, int(nodes[0])), nodes, SimParams())
+    wsum = np.zeros(g.n)
+    count = np.zeros(g.n, dtype=np.int64)
+    for v in nodes:
+        row = slice(g.raw.indptr[v], g.raw.indptr[v + 1])
+        wsum[g.raw.indices[row]] += g.weights.data[row]
+        count[g.raw.indices[row]] += 1
+    assert np.array_equal(state.active_wsum, wsum)
+    assert np.array_equal(state.active_nbr_count, count)
+
+
 def test_scalar_paths_match_naive_oracle(pa_graph_small):
     g = pa_graph_small
     rng = np.random.default_rng(5)
@@ -315,11 +345,14 @@ def test_drift_cascade_stays_consistent(pa_graph_small):
     g = pa_graph_small
     c = self_propagation(g, 2)
     params = SimParams(alpha=0.4, beta=0.4, gamma=0.5, epsilon=3, drift=0.5)
+    weights, degree, rows = g.weights.data.copy(), g.weighted_degree.copy(), g.features.rows.copy()
     rec = run_cascade(g, c, [2], params, rng_seed=8)
-    assert rec.final_spread >= 1
+    assert rec.final_spread > 1
     assert rec.new_per_step.sum() == rec.final_spread
     # graph tables untouched by the run (copy-on-write)
-    assert np.allclose(g.weighted_degree, np.array([g.nbr_weights[v].sum() for v in range(g.n)]))
+    assert np.array_equal(g.weights.data, weights)
+    assert np.array_equal(g.weighted_degree, degree)
+    assert np.array_equal(g.features.rows, rows)
 
 
 def test_drift_state_matrix_consistency(pa_graph_small):
