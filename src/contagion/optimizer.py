@@ -298,16 +298,13 @@ def _probe_one_step(g, state_nodes, times, vec, params, seed):
     """Clone a cascade state from its activation history and advance one step."""
     from .updyn import _activate, init_state, step
 
-    # rebuild: activate historical nodes in time order
-    state = init_state(g, vec, [n for n, t in zip(state_nodes, times) if t == 0], params)
-    by_time = defaultdict(list)
-    for n, t in zip(state_nodes, times):
-        if t > 0:
-            by_time[t].append(n)
-
-    for t in sorted(by_time):
-        _activate(state, g, by_time[t], t)
-        state.step = t
+    # rebuild: activate historical nodes in time order (a stable sort keeps
+    # the listed order within a step, so the sums match a step-by-step replay)
+    order = np.argsort(times, kind="stable")
+    nodes, times = np.asarray(state_nodes)[order], np.asarray(times)[order]
+    state = init_state(g, vec, nodes[times == 0], params)
+    _activate(state, g, nodes[times > 0], times[times > 0])
+    state.step = int(times[-1])
     rng = np.random.default_rng(seed)
     before = state.active_count
     step(state, vec, g, params, rng)

@@ -259,11 +259,12 @@ def init_state(g: WeightedGraph, c, seeds, p: SimParams) -> CascadeState:
     return state
 
 
-def _activate(state: CascadeState, g: WeightedGraph, nodes, t: int) -> None:
-    """Activate distinct ``nodes`` at step t and credit their neighbours.
+def _activate(state: CascadeState, g: WeightedGraph, nodes, t) -> None:
+    """Activate distinct ``nodes`` at step ``t`` and credit their neighbours.
 
-    One scatter over the nodes' CSR rows in the given order adds to every
-    neighbour in the same order as activating the nodes one by one.
+    ``t`` is one step for all nodes or one per node. One scatter over the
+    nodes' CSR rows in the given order adds to every neighbour in the same
+    order as activating the nodes one by one.
     """
     state.active[nodes] = True
     state.activation_time[nodes] = t
