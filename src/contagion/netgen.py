@@ -49,6 +49,9 @@ class RawGraph:
     def row_positions(self, rows) -> np.ndarray:
         """CSR positions of every entry of ``rows``, row after row in the given order."""
         rows = np.asarray(rows, dtype=np.int64)
+        if len(rows) == 1:
+            # single activations dominate dying cascades; a range is ~3x cheaper
+            return np.arange(self.indptr[rows[0]], self.indptr[rows[0] + 1])
         starts = self.indptr[rows]
         counts = self.indptr[rows + 1] - starts
         # each entry's offset from its position in the output; array methods

@@ -148,6 +148,7 @@ def test_csr_layout_and_reverse_permutation(pa_graph_small):
     assert np.array_equal(raw.indices[pos], np.concatenate(
         [raw.neighbors(57), raw.neighbors(3), raw.neighbors(58)]))
     assert len(raw.row_positions([])) == 0
+    assert np.array_equal(raw.indices[raw.row_positions([57])], raw.neighbors(57))
 
 
 def test_feature_dimension_mismatch():
