@@ -91,7 +91,7 @@ def test_step_and_matrix_match_naive_oracle(scenario):
 
 @settings(max_examples=150, deadline=None)
 @given(scenarios())
-def test_live_csr_after_drift_matches_scalar(scenario):
+def test_drifted_weights_match_scalar(scenario):
     g, c, params, seeds = scenario
     params = SimParams(alpha=params.alpha, beta=params.beta, gamma=params.gamma,
                        drift=params.drift or 0.3, require_contact=params.require_contact)
