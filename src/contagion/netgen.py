@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import InvalidParameter
 
@@ -24,6 +25,16 @@ logger = logging.getLogger(__name__)
 CORE = "core"
 INTERMEDIATE = "intermediate"
 PERIPHERY = "periphery"
+
+# Graphs up to this size are embedded with dense eigh, which keeps every
+# pinned graph of that size bit-identical and is the reference the sparse
+# shift-invert solver is tested against; larger graphs use the sparse solver.
+DENSE_EIGH_MAX_N = 1000
+# Shift-invert pole just below the Laplacian's zero eigenvalue, so L - sigma*I
+# is positive definite and the smallest eigenvalues map to the largest.
+_SHIFT = -1e-3
+# BFS sources per batch in diameter: bounds the (sources, n) distance block.
+_BFS_BATCH_CELLS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -80,6 +91,7 @@ class FeatureMatrix:
     basis: np.ndarray | None = None  # (n, k) unit columns, pre row-normalization
     max_residual: float = 0.0  # max_j ||L q_j - lambda_j q_j||_2
     warnings: tuple = ()
+    solver: str | None = None  # "dense" or "sparse"; None when not computed here
 
     @property
     def k(self) -> int:
@@ -120,6 +132,10 @@ def generate_pa(n: int, r: int, rng_seed: int) -> RawGraph:
     Starts from a complete graph on r+1 nodes; every later arrival attaches
     to r distinct existing nodes drawn without replacement with probability
     proportional to current degree. Deterministic given ``rng_seed``.
+
+    Degrees live in a Fenwick tree, so each draw costs O(log n) and growth
+    O(n r log n). Its prefix sums are exact integers, so the descent picks
+    the node ``searchsorted(cumsum(degree), u, "right")`` would.
     """
     if r < 1:
         raise InvalidParameter("attach", "attachment count must be >= 1")
@@ -128,26 +144,55 @@ def generate_pa(n: int, r: int, rng_seed: int) -> RawGraph:
     rng = np.random.default_rng(int(rng_seed))
 
     edges = [(i, j) for i in range(r + 1) for j in range(i + 1, r + 1)]
-    degree = np.zeros(n, dtype=np.float64)
-    degree[: r + 1] = r
+    degree = [r] * (r + 1) + [0] * (n - r - 1)
+    tree = _fenwick(degree)
+    total = r * (r + 1)
+    top = 1 << (int(n).bit_length() - 1)
 
     for v in range(r + 1, n):
-        weights = degree[:v].copy()
         targets = []
         for _ in range(r):
-            total = weights.sum()
-            cum = np.cumsum(weights)
             u = rng.random() * total
-            t = int(np.searchsorted(cum, u, side="right"))
+            # largest prefix length whose degree sum is <= u: that prefix
+            # ends just before the first node whose cumulative sum exceeds u
+            t, acc, step = 0, 0, top
+            while step:
+                nxt = t + step
+                if nxt <= n and acc + tree[nxt] <= u:
+                    t, acc = nxt, acc + tree[nxt]
+                step >>= 1
             t = min(t, v - 1)
             targets.append(t)
-            weights[t] = 0.0
+            # drawn without replacement: t is out of the urn until v is placed
+            _fenwick_add(tree, t, -degree[t])
+            total -= degree[t]
         for t in targets:
             edges.append((t, v))
             degree[t] += 1
+            _fenwick_add(tree, t, degree[t])
+            total += degree[t]
         degree[v] = r
+        _fenwick_add(tree, v, r)
+        total += r
 
     return _finish_raw(n, edges)
+
+
+def _fenwick(values) -> list:
+    """1-based Fenwick tree of integer ``values``: tree[i] sums a block ending at i."""
+    tree = [0] + list(values)
+    for i in range(1, len(tree)):
+        parent = i + (i & -i)
+        if parent < len(tree):
+            tree[parent] += tree[i]
+    return tree
+
+
+def _fenwick_add(tree: list, i: int, delta: int) -> None:
+    i += 1
+    while i < len(tree):
+        tree[i] += delta
+        i += i & -i
 
 
 def _finish_raw(n: int, edge_pairs) -> RawGraph:
@@ -180,6 +225,10 @@ def spectral_embed(g: RawGraph, k: int) -> FeatureMatrix:
     of the k smallest eigenvalues (unit columns), then renormalizes each row
     to unit L2 norm. Eigenvector signs are canonicalized so the entry of
     largest magnitude in each column is positive.
+
+    Graphs of at most ``DENSE_EIGH_MAX_N`` nodes, and any k ARPACK cannot
+    serve (k >= n - 1), use dense ``eigh``; larger ones use shift-invert
+    Lanczos on the sparse Laplacian, whose rows agree with dense to ~1e-12.
     """
     if k < 1 or k > g.n:
         raise InvalidParameter("embed_dim", f"need 1 <= k <= {g.n}, got {k}")
@@ -190,9 +239,14 @@ def spectral_embed(g: RawGraph, k: int) -> FeatureMatrix:
         logger.warning(msg)
         warnings = (msg,)
 
-    adj = g.adjacency().toarray()
-    lap = np.diag(adj.sum(axis=1)) - adj
-    vals, vecs = eigh(lap, subset_by_index=[0, k - 1])
+    adj = g.adjacency()
+    lap = sp.diags(g.degree.astype(np.float64)).tocsr() - adj
+    if g.n > DENSE_EIGH_MAX_N and k < g.n - 1:
+        solver = "sparse"
+        vals, vecs = _sparse_eigenpairs(lap, k)
+    else:
+        solver = "dense"
+        vals, vecs = eigh(lap.toarray(), subset_by_index=[0, k - 1])
 
     # deterministic sign convention per column
     for j in range(k):
@@ -201,9 +255,7 @@ def spectral_embed(g: RawGraph, k: int) -> FeatureMatrix:
         if col[pivot] < 0:
             vecs[:, j] = -col
 
-    residual = float(
-        max(np.linalg.norm(lap @ vecs[:, j] - vals[j] * vecs[:, j]) for j in range(k))
-    )
+    residual = float(np.linalg.norm(lap @ vecs - vecs * vals, axis=0).max())
 
     row_norms = np.linalg.norm(vecs, axis=1)
     if np.any(row_norms < 1e-12):
@@ -215,7 +267,27 @@ def spectral_embed(g: RawGraph, k: int) -> FeatureMatrix:
         basis=vecs,
         max_residual=residual,
         warnings=warnings,
+        solver=solver,
     )
+
+
+def _sparse_eigenpairs(lap: sp.csr_matrix, k: int):
+    """The k smallest eigenpairs of ``lap`` by shift-invert ``eigsh``, ascending.
+
+    The shifted Laplacian is factored once with a symmetric minimum-degree
+    ordering (far less fill than the default COLAMD on PA graphs). ARPACK
+    starts from a fixed vector, because its default random start differs
+    between calls; it raises ``ArpackNoConvergence`` rather than returning
+    unconverged pairs.
+    """
+    n = lap.shape[0]
+    shifted = (lap - _SHIFT * sp.identity(n, format="csr")).tocsc()
+    lu = splu(shifted, permc_spec="MMD_AT_PLUS_A")
+    op_inv = LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    vals, vecs = eigsh(lap, k=k, sigma=_SHIFT, which="LM", OPinv=op_inv, v0=v0, tol=0)
+    order = np.argsort(vals)
+    return vals[order], np.ascontiguousarray(vecs[:, order])
 
 
 def segment_nodes(g) -> np.ndarray:
@@ -281,19 +353,32 @@ def build_graph(n: int, r: int, k: int, seed: int) -> WeightedGraph:
     return assign_edge_weights(raw, feats, meta={"r": r, "seed": int(seed)})
 
 
-def diameter(g: RawGraph, chunk: int = 256) -> int:
-    """Exact unweighted diameter from all-source BFS distances.
+def diameter(g: RawGraph) -> int:
+    """Exact unweighted diameter by iFUB (Crescenzi et al. 2013).
+
+    One BFS from the max-degree node u splits the nodes into distance levels.
+    Levels are then swept deepest first with one BFS per node: once every
+    level deeper than i is done, any pair not yet measured lies within
+    distance i of u, hence within 2i of each other, so the sweep stops as
+    soon as the best eccentricity seen reaches 2i. On PA graphs that is a
+    handful of BFS runs instead of n.
 
     Raises on disconnected input, where the diameter is undefined.
     """
     adj = g.adjacency()
-    best = 0
-    for start in range(0, g.n, chunk):
-        idx = np.arange(start, min(start + chunk, g.n))
-        dist = dijkstra(adj, directed=False, unweighted=True, indices=idx)
-        if np.isinf(dist).any():
-            raise InvalidParameter("graph", "diameter undefined for disconnected graph")
-        best = max(best, int(dist.max()))
+    start = int(np.argmax(g.degree))
+    dist = dijkstra(adj, directed=False, unweighted=True, indices=start)
+    if np.isinf(dist).any():
+        raise InvalidParameter("graph", "diameter undefined for disconnected graph")
+    level = dist.astype(np.int64)
+    i = best = int(level.max())
+    batch = max(1, _BFS_BATCH_CELLS // g.n)
+    while best < 2 * i:
+        fringe = np.flatnonzero(level == i)
+        for lo in range(0, len(fringe), batch):
+            ecc = dijkstra(adj, directed=False, unweighted=True, indices=fringe[lo : lo + batch])
+            best = max(best, int(ecc.max()))
+        i -= 1
     return best
 
 

@@ -92,3 +92,56 @@ def empirical_spread_distribution(spreads) -> dict:
     spreads = np.asarray(spreads)
     vals, counts = np.unique(spreads, return_counts=True)
     return {int(v): c / len(spreads) for v, c in zip(vals, counts)}
+
+
+def pa_edges_cumsum(n: int, r: int, rng_seed: int) -> np.ndarray:
+    """PA growth by a fresh cumsum over all degrees for every draw, O(n^2).
+
+    Same urn, same draws and the same ``min(t, v - 1)`` guard as
+    ``generate_pa``; returns the edges sorted as in ``RawGraph.edges``.
+    """
+    rng = np.random.default_rng(int(rng_seed))
+    edges = [(i, j) for i in range(r + 1) for j in range(i + 1, r + 1)]
+    degree = np.zeros(n, dtype=np.float64)
+    degree[: r + 1] = r
+    for v in range(r + 1, n):
+        weights = degree[:v].copy()
+        targets = []
+        for _ in range(r):
+            total = weights.sum()
+            cum = np.cumsum(weights)
+            u = rng.random() * total
+            t = int(np.searchsorted(cum, u, side="right"))
+            t = min(t, v - 1)
+            targets.append(t)
+            weights[t] = 0.0
+        for t in targets:
+            edges.append((t, v))
+            degree[t] += 1
+        degree[v] = r
+    edges = np.sort(np.asarray(edges, dtype=np.int64), axis=1)
+    return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+
+
+def diameter_all_sources(n: int, edges) -> int:
+    """Largest BFS distance over every source, plain python; None if disconnected."""
+    nbrs = [[] for _ in range(n)]
+    for a, b in edges:
+        nbrs[int(a)].append(int(b))
+        nbrs[int(b)].append(int(a))
+    best = 0
+    for s in range(n):
+        dist = {s: 0}
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in nbrs[x]:
+                    if y not in dist:
+                        dist[y] = dist[x] + 1
+                        nxt.append(y)
+            frontier = nxt
+        if len(dist) < n:
+            return None
+        best = max(best, max(dist.values()))
+    return best

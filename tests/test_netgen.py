@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from contagion import netgen
 from contagion.errors import InvalidParameter
 from contagion.netgen import (
     CORE,
@@ -19,6 +22,7 @@ from contagion.netgen import (
     spectral_embed,
 )
 from tests.conftest import raw_from_edges
+from tests.oracles import diameter_all_sources, pa_edges_cumsum
 
 
 def test_pa_edge_count_1000():
@@ -58,6 +62,15 @@ def test_pa_rejects_bad_sizes():
         generate_pa(10, 0, rng_seed=0)
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 5])
+def test_pa_matches_cumsum_oracle(r):
+    # the Fenwick descent must pick exactly the node a full cumsum picks
+    for n in (r + 1, r + 2, 50, 1000):
+        for seed in (0, 1, 17):
+            assert np.array_equal(generate_pa(n, r, rng_seed=seed).edges,
+                                  pa_edges_cumsum(n, r, seed)), (n, seed)
+
+
 def test_pa_heavy_tail_degrees():
     # max degree at least 10x the median, across 5 seeds
     for seed in range(5):
@@ -95,6 +108,37 @@ def test_embed_row_norms_and_residual():
     norms = np.linalg.norm(f.rows, axis=1)
     assert np.all(np.abs(norms - 1.0) <= 1e-9)
     assert f.max_residual <= 1e-8 * g.n
+
+
+def _dense_reference(monkeypatch, g, k):
+    with monkeypatch.context() as m:
+        m.setattr(netgen, "DENSE_EIGH_MAX_N", g.n)
+        return spectral_embed(g, k)
+
+
+@pytest.mark.parametrize("n", [1500, 2500])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sparse_embed_matches_dense(monkeypatch, n, seed):
+    g = generate_pa(n, 2, rng_seed=seed)
+    sparse = spectral_embed(g, 10)
+    dense = _dense_reference(monkeypatch, g, 10)
+    assert (sparse.solver, dense.solver) == ("sparse", "dense")
+    assert sparse.max_residual <= 1e-8
+    assert np.abs(sparse.eigenvalues - dense.eigenvalues).max() <= 1e-9
+    assert np.abs(sparse.rows - dense.rows).max() <= 1e-9
+    # a fixed ARPACK start vector makes repeated calls bit-identical
+    assert np.array_equal(spectral_embed(g, 10).rows, sparse.rows)
+
+
+def test_embed_solver_follows_size(monkeypatch):
+    g = generate_pa(40, 2, rng_seed=4)
+    assert spectral_embed(g, 5).solver == "dense"
+    monkeypatch.setattr(netgen, "DENSE_EIGH_MAX_N", 10)
+    small = spectral_embed(g, 5)
+    assert small.solver == "sparse"
+    assert np.abs(small.rows - _dense_reference(monkeypatch, g, 5).rows).max() <= 1e-9
+    # ARPACK needs k < n - 1; beyond that the dense solver serves any size
+    assert spectral_embed(g, 39).solver == "dense"
 
 
 def test_embed_rejects_bad_k():
@@ -186,6 +230,48 @@ def test_diameter_known_graphs():
     assert diameter(star) == 2
     k4 = raw_from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     assert diameter(k4) == 1
+
+
+def _barbell(m, bridge):
+    """Two m-cliques joined by a path of ``bridge`` edges."""
+    clique = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    path = list(range(m - 1, m + bridge))
+    edges = clique + list(zip(path, path[1:]))
+    off = m + bridge - 1
+    edges += [(off + i, off + j) for i, j in clique]
+    return raw_from_edges(2 * m + bridge - 1, edges)
+
+
+@pytest.mark.parametrize("g, expected", [
+    (raw_from_edges(1, []), 0),
+    (raw_from_edges(2, [(0, 1)]), 1),
+    (raw_from_edges(9, [(i, i + 1) for i in range(8)]), 8),
+    (raw_from_edges(7, [(i, (i + 1) % 7) for i in range(7)]), 3),
+    (raw_from_edges(8, [(i, (i + 1) % 8) for i in range(8)]), 4),
+    (raw_from_edges(12, [(5, i) for i in range(12) if i != 5]), 2),
+    (_barbell(4, 1), 3),
+    (_barbell(5, 6), 8),
+], ids=["single", "edge", "path9", "cycle7", "cycle8", "star12", "barbell4-1", "barbell5-6"])
+def test_diameter_families(g, expected):
+    assert diameter_all_sources(g.n, g.edges) == expected
+    assert diameter(g) == expected
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree on up to 40 nodes plus random extra edges."""
+    n = draw(st.integers(2, 40))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    pairs = {tuple(sorted(e)) for e in tree + extra if e[0] != e[1]}
+    perm = draw(st.permutations(range(n)))  # so hubs and deep leaves get any id
+    return raw_from_edges(n, [(perm[a], perm[b]) for a, b in sorted(pairs)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(connected_graphs())
+def test_diameter_matches_all_source_bfs(g):
+    assert diameter(g) == diameter_all_sources(g.n, g.edges)
 
 
 def test_diameter_disconnected_errors():
