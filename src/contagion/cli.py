@@ -69,7 +69,7 @@ def _sha256(path) -> str:
 
 
 def write_manifest(out_dir, command: str, config: dict, master_seed,
-                   inputs, outputs, started: float) -> None:
+                   inputs, outputs, started: float, metrics: dict | None = None) -> None:
     doc = {
         "tool": "contagion",
         "version": __version__,
@@ -80,6 +80,8 @@ def write_manifest(out_dir, command: str, config: dict, master_seed,
         "outputs": [str(o) for o in outputs],
         "duration_s": round(time.time() - started, 3),
     }
+    if metrics is not None:
+        doc["metrics"] = metrics
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "manifest.json", "w") as fh:
@@ -143,14 +145,25 @@ def _load_config_file(path) -> dict:
     return doc
 
 
-def _merged(args, config: dict, key: str, default):
-    """Explicit flag wins, then config file, then the default."""
+def _merged(args, config: dict, key: str, default, kind=None):
+    """Explicit flag wins, then config file, then the default.
+
+    With ``kind`` (int or float) a value other than None is cast to it, and
+    one that does not cast raises InvalidParameter naming ``key``.
+    """
     val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
+    if val is None:
+        val = config.get(key, default)
+    return _typed(key, val, kind)
+
+
+def _typed(key: str, val, kind):
+    if kind is None or val is None:
         return val
-    if key in config:
-        return config[key]
-    return default
+    try:
+        return kind(val)
+    except (TypeError, ValueError):
+        raise InvalidParameter(key, f"expected {kind.__name__}, got {val!r}") from None
 
 
 def _parse_seeds(text) -> list:
@@ -161,24 +174,23 @@ def _parse_seeds(text) -> list:
 
 
 def _sim_params_from(args, config) -> SimParams:
-    max_steps = _merged(args, config, "max-steps", None)
     return SimParams(
-        alpha=float(_merged(args, config, "alpha", 1.0 / 3.0)),
-        beta=float(_merged(args, config, "beta", 1.0 / 3.0)),
-        gamma=float(_merged(args, config, "gamma", 0.05)),
-        epsilon=int(_merged(args, config, "epsilon", 10)),
-        drift=float(_merged(args, config, "lambda", 0.0)),
-        max_steps=None if max_steps is None else int(max_steps),
-        viral_fraction=float(_merged(args, config, "viral-fraction", 0.5)),
+        alpha=_merged(args, config, "alpha", 1.0 / 3.0, float),
+        beta=_merged(args, config, "beta", 1.0 / 3.0, float),
+        gamma=_merged(args, config, "gamma", 0.05, float),
+        epsilon=_merged(args, config, "epsilon", 10, int),
+        drift=_merged(args, config, "lambda", 0.0, float),
+        max_steps=_merged(args, config, "max-steps", None, int),
+        viral_fraction=_merged(args, config, "viral-fraction", 0.5, float),
         require_contact=not bool(_merged(args, config, "spontaneous", False)),
     )
 
 
 def _jobs_from(args, config) -> int:
-    val = _merged(args, config, "jobs", None)
+    val = _merged(args, config, "jobs", None, int)
     if val is None:
-        val = os.environ.get("CONTAGION_JOBS", 1)
-    return max(1, int(val))
+        val = _typed("jobs", os.environ.get("CONTAGION_JOBS", 1), int)
+    return max(1, val)
 
 
 # ---------------------------------------------------------------------------
@@ -199,23 +211,35 @@ def _sim_run(task):
     return rec.to_dict()
 
 
+def _read_prop_vector(path) -> np.ndarray:
+    """Unit vector from a ``{"vector": [...]}`` JSON file."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise InvalidParameter("prop", f"{path}: not valid JSON ({err})") from None
+    if not isinstance(doc, dict) or "vector" not in doc:
+        raise InvalidParameter("prop", f'{path}: expected an object with a "vector" list')
+    return Propagation.from_vector(doc["vector"]).vec
+
+
 def _simulate_records(g, seeds, prop_mode, params, master_seed, n_runs, jobs):
+    cosine = None
+    if prop_mode == "self":
+        vec = g.features.rows[seeds[0]].copy()
+    elif prop_mode.startswith("affinity:"):
+        try:
+            cosine = float(prop_mode.split(":", 1)[1])
+        except ValueError:
+            raise InvalidParameter("prop", f"bad affinity cosine in {prop_mode!r}")
+    else:
+        vec = _read_prop_vector(prop_mode)
     tasks = []
     for i in range(n_runs):
         run_seed = derive_seed(master_seed, "run", i)
-        if prop_mode == "self":
-            vec = g.features.rows[seeds[0]].copy()
-        elif prop_mode.startswith("affinity:"):
-            try:
-                cosine = float(prop_mode.split(":", 1)[1])
-            except ValueError:
-                raise InvalidParameter("prop", f"bad affinity cosine in {prop_mode!r}")
+        if cosine is not None:
             rng = np.random.default_rng(derive_seed(master_seed, "dir", i))
             vec = misaligned_vector(g.features.rows[seeds[0]], cosine, rng)
-        else:
-            with open(prop_mode) as fh:
-                doc = json.load(fh)
-            vec = Propagation.from_vector(doc["vector"]).vec
         tasks.append((seeds, vec, run_seed))
     if jobs <= 1 or len(tasks) < 4:
         _sim_init(g, params)
@@ -232,16 +256,19 @@ def _simulate_records(g, seeds, prop_mode, params, master_seed, n_runs, jobs):
 def cmd_netgen(args) -> int:
     started = time.time()
     config = _load_config_file(args.config)
-    n = int(_merged(args, config, "nodes", 1000))
-    r = int(_merged(args, config, "attach", 2))
-    k = int(_merged(args, config, "embed-dim", 10))
-    seed = int(_merged(args, config, "seed", 0))
+    n = _merged(args, config, "nodes", 1000, int)
+    r = _merged(args, config, "attach", 2, int)
+    k = _merged(args, config, "embed-dim", 10, int)
+    seed = _merged(args, config, "seed", 0, int)
     out = _merged(args, config, "out", "graph.json")
     g = build_graph(n, r, k, seed)
     save_graph(g, out)
+    feats = g.features
     write_manifest(Path(out).parent, "netgen",
                    {"nodes": n, "attach": r, "embed_dim": k, "seed": seed, "out": str(out)},
-                   seed, [args.config], [out], started)
+                   seed, [args.config], [out], started,
+                   metrics={"solver": feats.solver, "max_residual": feats.max_residual,
+                            "warnings": list(feats.warnings)})
     print(f"wrote {out}: n={n} edges={len(g.raw.edges)} k={k}")
     return 0
 
@@ -255,8 +282,8 @@ def cmd_simulate(args) -> int:
     out = _merged(args, config, "out", "runs.jsonl")
     seeds = _parse_seeds(_merged(args, config, "seeds", "0"))
     prop_mode = str(_merged(args, config, "prop", "self"))
-    n_runs = int(_merged(args, config, "runs", 1))
-    master_seed = int(_merged(args, config, "seed", 0))
+    n_runs = _merged(args, config, "runs", 1, int)
+    master_seed = _merged(args, config, "seed", 0, int)
     params = _sim_params_from(args, config)
     jobs = _jobs_from(args, config)
 
@@ -286,27 +313,26 @@ def cmd_baseline(args) -> int:
     model = str(_merged(args, config, "model", None))
     out = _merged(args, config, "out", "runs.jsonl")
     seeds = _parse_seeds(_merged(args, config, "seeds", "0"))
-    n_runs = int(_merged(args, config, "runs", 1))
-    master_seed = int(_merged(args, config, "seed", 0))
+    n_runs = _merged(args, config, "runs", 1, int)
+    master_seed = _merged(args, config, "seed", 0, int)
+    p = _merged(args, config, "p", None, float)
+    theta = _merged(args, config, "theta", None, float)
+    k = _merged(args, config, "k", None, int)
     g = load_graph(graph_path)
-
-    p = _merged(args, config, "p", None)
-    theta = _merged(args, config, "theta", None)
-    k = _merged(args, config, "k", None)
 
     records = []
     for i in range(n_runs):
         run_seed = derive_seed(master_seed, "run", i)
         if model == "ic":
-            rec = run_ic(g, seeds, float(p if p is not None else 0.1), run_seed)
+            rec = run_ic(g, seeds, 0.1 if p is None else p, run_seed)
         elif model == "lt":
             if theta is None:
                 cfg = BaselineConfig(model="lt", lt_dist="uniform")
             else:
-                cfg = BaselineConfig(model="lt", lt_dist="constant", lt_theta=float(theta))
+                cfg = BaselineConfig(model="lt", lt_dist="constant", lt_theta=theta)
             rec = run_lt(g, seeds, cfg, run_seed)
         elif model == "kcomplex":
-            rec = run_kcomplex(g, seeds, int(k if k is not None else 2))
+            rec = run_kcomplex(g, seeds, 2 if k is None else k)
         else:
             raise InvalidParameter("model", f"unknown baseline model {model!r}")
         records.append(rec.to_dict())
@@ -513,9 +539,9 @@ def cmd_learn(args) -> int:
     config = _load_config_file(args.config)
     host, traces, inputs = _learner_inputs(args, config)
     form = str(_merged(args, config, "form", "sum"))
-    steps = int(_merged(args, config, "steps", 200))
-    lr = float(_merged(args, config, "lr", 0.01))
-    master_seed = int(_merged(args, config, "seed", 0))
+    steps = _merged(args, config, "steps", 200, int)
+    lr = _merged(args, config, "lr", 0.01, float)
+    master_seed = _merged(args, config, "seed", 0, int)
     augment = bool(_merged(args, config, "augment", False))
     out = _merged(args, config, "out", "model.json")
 
@@ -539,8 +565,8 @@ def cmd_learn_eval(args) -> int:
     if model_path is None:
         raise InvalidParameter("model", "a fitted model file is required")
     host, traces, inputs = _learner_inputs(args, config)
-    test_fraction = float(_merged(args, config, "test-fraction", 0.2))
-    split_seed = int(_merged(args, config, "split-seed", 0))
+    test_fraction = _merged(args, config, "test-fraction", 0.2, float)
+    split_seed = _merged(args, config, "split-seed", 0, int)
     out = _merged(args, config, "out", "eval.json")
 
     params = load_model(model_path, int_ids=inputs[2] is not None)
@@ -570,17 +596,15 @@ def cmd_optimize(args) -> int:
     graph_path = _merged(args, config, "graph", None)
     if graph_path is None:
         raise InvalidParameter("graph", "a graph file is required")
-    v = int(_merged(args, config, "seed-node", 0))
-    khop = int(_merged(args, config, "khop", 2))
-    width = int(_merged(args, config, "beam", 5))
-    rounds = int(_merged(args, config, "rounds", 5))
-    perturb = float(_merged(args, config, "perturb", 0.1))
-    sims = int(_merged(args, config, "sims", 200))
-    top_deg = int(_merged(args, config, "top-deg", 10))
-    core_targets = _merged(args, config, "core-targets", None)
-    if core_targets is not None:
-        core_targets = int(core_targets)
-    master_seed = int(_merged(args, config, "seed", 0))
+    v = _merged(args, config, "seed-node", 0, int)
+    khop = _merged(args, config, "khop", 2, int)
+    width = _merged(args, config, "beam", 5, int)
+    rounds = _merged(args, config, "rounds", 5, int)
+    perturb = _merged(args, config, "perturb", 0.1, float)
+    sims = _merged(args, config, "sims", 200, int)
+    top_deg = _merged(args, config, "top-deg", 10, int)
+    core_targets = _merged(args, config, "core-targets", None, int)
+    master_seed = _merged(args, config, "seed", 0, int)
     out = _merged(args, config, "out", "best.json")
 
     g = load_graph(graph_path)
@@ -620,7 +644,7 @@ def cmd_plot(args) -> int:
         raise InvalidParameter("table", "an input CSV is required")
     kind = str(_merged(args, config, "kind", "line"))
     out = _merged(args, config, "out", "plot.svg")
-    bins = int(_merged(args, config, "bins", 10))
+    bins = _merged(args, config, "bins", 10, int)
 
     header, rows = read_csv_table(table)
     if kind == "line":

@@ -47,7 +47,10 @@ class Propagation:
     @classmethod
     def from_vector(cls, raw) -> "Propagation":
         """Normalize an arbitrary nonzero vector onto the unit sphere."""
-        arr = np.asarray(raw, dtype=np.float64)
+        try:
+            arr = np.asarray(raw, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise InvalidParameter("propagation", f"not a numeric vector: {raw!r}") from None
         norm = float(np.linalg.norm(arr))
         if norm == 0.0:
             raise InvalidParameter("propagation", "zero vector cannot be normalized")

@@ -31,6 +31,17 @@ def test_netgen_writes_valid_graph(graph_file):
     assert manifest["outputs"] == [str(graph_file)]
 
 
+@pytest.mark.parametrize("nodes, solver", [(60, "dense"), (1001, "sparse")])
+def test_netgen_manifest_reports_embedding(tmp_path, nodes, solver):
+    path = tmp_path / "g.json"
+    assert run_cli("netgen", "--nodes", str(nodes), "--embed-dim", "6", "--seed", "2",
+                   "--out", str(path)) == 0
+    metrics = json.loads((tmp_path / "manifest.json").read_text())["metrics"]
+    assert metrics["solver"] == solver
+    assert 0.0 <= metrics["max_residual"] <= 1e-8
+    assert metrics["warnings"] == []
+
+
 def test_netgen_rejects_bad_sizes(tmp_path, capsys):
     code = run_cli("netgen", "--nodes", "2", "--attach", "2",
                    "--out", str(tmp_path / "g.json"))
@@ -92,6 +103,43 @@ def test_simulate_rejects_zero_vector_file(graph_file, tmp_path):
     code = run_cli("simulate", "--graph", str(graph_file), "--seeds", "1",
                    "--prop", str(vec_file), "--runs", "2", "--out", str(out))
     assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [
+    '{"vec": [1, 0, 0, 0, 0, 0]}',
+    '[1, 0, 0, 0, 0, 0]',
+    '{"vector": "north"}',
+    '{"vector": [1, 0,',
+])
+def test_simulate_rejects_bad_vector_file(graph_file, tmp_path, capsys, content):
+    vec_file = tmp_path / "vec.json"
+    vec_file.write_text(content)
+    out = tmp_path / "bad.jsonl"
+    code = run_cli("simulate", "--graph", str(graph_file), "--seeds", "1",
+                   "--prop", str(vec_file), "--runs", "2", "--out", str(out))
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "runs", "ten"),
+    ("simulate", "gamma", "high"),
+    ("simulate", "max-steps", [50]),
+    ("simulate", "jobs", "two"),
+    ("netgen", "nodes", "many"),
+    ("baseline", "p", "half"),
+    ("optimize", "sims", "lots"),
+    ("plot", "bins", "some"),
+])
+def test_config_non_numeric_value_exits_2(graph_file, tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": str(graph_file), "table": str(graph_file),
+                               "model": "ic", key: value}))
+    out = tmp_path / "out.json"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+    assert f"error: {key}:" in capsys.readouterr().err
     assert not out.exists()
 
 
