@@ -239,8 +239,7 @@ def spectral_embed(g: RawGraph, k: int) -> FeatureMatrix:
         logger.warning(msg)
         warnings = (msg,)
 
-    adj = g.adjacency()
-    lap = sp.diags(g.degree.astype(np.float64)).tocsr() - adj
+    lap = sp.diags(g.degree.astype(np.float64)).tocsr() - g.adjacency()
     if g.n > DENSE_EIGH_MAX_N and k < g.n - 1:
         solver = "sparse"
         vals, vecs = _sparse_eigenpairs(lap, k)
