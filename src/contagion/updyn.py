@@ -6,7 +6,8 @@ calibrated scores from the previous step's state:
 
     affinity  (1 + c . x_v) / 2
     local     (1 + LI) / 2 with LI = (sum_active w - sum_inactive w) / d_v,
-              which simplifies to (active weight mass) / d_v
+              which simplifies to (active weight mass) / d_v; zero for a
+              node without tie mass (weighted degree at most TIE_EPS)
     global    |S| / n
 
 aggregated as gamma * (alpha * affinity + beta * local + (1-alpha-beta) * global)
@@ -31,6 +32,11 @@ from .errors import InvalidParameter
 from .netgen import WeightedGraph
 
 logger = logging.getLogger(__name__)
+
+# A live weighted degree at or below this holds no tie mass. Drift can zero
+# every incident weight of a node (a neighbor pulled antipodal to it), and the
+# incremental degree tallies then keep only rounding residue.
+TIE_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -204,10 +210,13 @@ def affinity(c, x_v) -> float:
 
 
 def local_influence(v: int, state: CascadeState, g: WeightedGraph) -> float:
-    """Scaled local influence (1 + LI) / 2 = active weight mass over degree."""
+    """Scaled local influence (1 + LI) / 2 = active weight mass over degree.
+
+    A node without tie mass (live degree at most ``TIE_EPS``) feels none.
+    """
     d = float(state.live_degree[v])
-    if d <= 0.0:
-        raise InvalidParameter("node", f"node {v} is isolated; local influence undefined")
+    if d <= TIE_EPS:
+        return 0.0
     return float(np.clip(state.active_wsum[v] / d, 0.0, 1.0))
 
 
@@ -349,7 +358,9 @@ def step(state: CascadeState, c, g: WeightedGraph, p: SimParams,
         state.stable_steps += 1
         return 0
 
-    li = state.active_wsum[eligible] / state.live_degree[eligible]
+    degree = state.live_degree[eligible]
+    li = np.divide(state.active_wsum[eligible], degree, out=np.zeros(len(eligible)),
+                   where=degree > TIE_EPS)
     gi = state.active_count / state.n
     probs = p.gamma * (
         p.alpha * state.affinity_hat[eligible] + p.beta * li + p.global_weight * gi
@@ -400,14 +411,17 @@ def step_probs_matrix(state: CascadeState, c, g: WeightedGraph, p: SimParams) ->
     """Activation-probability vector for every node via the matrix form.
 
     gamma * (alpha * Fhat + beta * (D^-1 W (2Y - 1) + 1) / 2 + gw * GI * 1),
-    which reproduces the per-node scores exactly. Reads the live weights,
-    which drift may have rewritten.
+    which reproduces the per-node scores exactly; the local term is zero on
+    rows without tie mass. Reads the live weights, which drift may have
+    rewritten.
     """
     vec = as_propagation(c).vec
     weights = sp.csr_matrix((state.live_weights, g.raw.indices, g.raw.indptr), shape=(g.n, g.n))
     fhat = (1.0 + state.live_features @ vec) / 2.0
     signed = 2.0 * state.active.astype(np.float64) - 1.0
-    li_hat = ((weights @ signed) / state.live_degree + 1.0) / 2.0
+    tied = state.live_degree > TIE_EPS
+    li_hat = np.zeros(g.n)
+    li_hat[tied] = ((weights @ signed)[tied] / state.live_degree[tied] + 1.0) / 2.0
     gi = state.active_count / state.n
     probs = p.gamma * (p.alpha * fhat + p.beta * li_hat + p.global_weight * gi)
     return np.clip(probs, 0.0, 1.0)

@@ -17,7 +17,8 @@ from contagion.updyn import (
     step,
     step_probs_matrix,
 )
-from tests.conftest import uniform_feature_graph
+from contagion.netgen import assign_edge_weights, make_unit_features
+from tests.conftest import raw_from_edges, uniform_feature_graph
 from tests.oracles import (
     empirical_spread_distribution,
     enumerate_spread_distribution,
@@ -368,6 +369,36 @@ def test_drift_state_matrix_consistency(pa_graph_small):
         mat = step_probs_matrix(state, c, g, params)
         loop = np.array([activation_prob(v, state, c, g, params) for v in range(g.n)])
         assert np.max(np.abs(mat - loop)) < 1e-12
+
+
+def test_drift_to_zero_tie_mass_keeps_other_terms():
+    # path 0-1-2: full drift turns node 1 into c, antipodal to node 2, so the
+    # only weight at node 2 drops to zero; its local term vanishes while the
+    # global term still drives it
+    rows = np.array([[0.0, 1.0], [0.0, 1.0], [-1.0, 0.0]])
+    g = assign_edge_weights(raw_from_edges(3, [(0, 1), (1, 2)]), make_unit_features(rows))
+    c = Propagation.from_vector([1.0, 0.0])
+    params = SimParams(alpha=0.0, beta=0.5, gamma=1.0, drift=1.0)
+
+    class Draws:
+        """Stands in for a Generator: every uniform is the same value."""
+
+        def __init__(self, value):
+            self.value = value
+
+        def random(self, size):
+            return np.full(size, self.value)
+
+    state = init_state(g, c, [0], params)
+    assert step(state, c, g, params, Draws(-1.0)) == 1  # only node 1 is in contact
+    assert state.live_degree[2] == 0.0
+
+    assert local_influence(2, state, g) == 0.0
+    expected = 0.5 * state.active_count / g.n
+    assert activation_prob(2, state, c, g, params) == pytest.approx(expected)
+    assert step_probs_matrix(state, c, g, params)[2] == pytest.approx(expected)
+    assert step(state, c, g, params, Draws(expected - 1e-9)) == 1
+    assert state.activation_time[2] == 2
 
 
 def test_as_propagation_coercion():
