@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .netgen import WeightedGraph
-from .updyn import CascadeRecord
+from .updyn import TIE_EPS, CascadeRecord, check_seeds
 
 IC = "ic"
 LT = "lt"
@@ -53,17 +53,6 @@ class BaselineConfig:
         }
 
 
-def _check_seeds(g: WeightedGraph, seeds) -> list:
-    seeds = [int(s) for s in seeds]
-    if not seeds:
-        raise InvalidParameter("seeds", "seed set must be non-empty")
-    if len(set(seeds)) != len(seeds):
-        raise InvalidParameter("seeds", "seed ids must be distinct")
-    if min(seeds) < 0 or max(seeds) >= g.n:
-        raise InvalidParameter("seeds", f"seed ids must lie in [0, {g.n})")
-    return seeds
-
-
 def _record(g, cfg, seeds, rng_seed, activation_time, new_per_step, steps, model):
     return CascadeRecord(
         params=cfg,
@@ -84,31 +73,30 @@ def run_ic(g: WeightedGraph, seeds, p: float, rng_seed: int) -> CascadeRecord:
 
     Every node activated in round t-1 gets one Bernoulli(p) attempt on each
     still-inactive neighbor in round t; the process stops when a round
-    produces no activation.
+    produces no activation. Frontier nodes go in ascending order, each
+    drawing ``rng.random(k)`` for its k neighbours still inactive at that
+    moment: the same uniforms as one scalar draw per edge.
     """
     cfg = BaselineConfig(model=IC, ic_p=p)
-    seeds = _check_seeds(g, seeds)
+    seeds = check_seeds(g, seeds)
     rng = np.random.default_rng(int(rng_seed))
     n = g.n
     activation_time = np.full(n, -1, dtype=np.int64)
     activation_time[seeds] = 0
-    frontier = list(seeds)
+    frontier = sorted(seeds)
     new_per_step = [len(seeds)]
     t = 0
     while frontier:
         t += 1
         newly = []
-        for v in sorted(frontier):
-            for w in g.raw.neighbors(v):
-                w = int(w)
-                if activation_time[w] >= 0:
-                    continue
-                if rng.random() < p:
-                    activation_time[w] = t
-                    newly.append(w)
-        # dedupe while preserving the discovery order is irrelevant here:
-        # activation_time already guards against double activation
-        frontier = newly
+        for v in frontier:
+            nbrs = g.raw.neighbors(v)
+            nbrs = nbrs[activation_time[nbrs] < 0]
+            if len(nbrs):
+                hit = nbrs[rng.random(len(nbrs)) < p]
+                activation_time[hit] = t
+                newly += hit.tolist()
+        frontier = sorted(newly)
         new_per_step.append(len(newly))
     return _record(g, cfg, seeds, int(rng_seed), activation_time, new_per_step, t, IC)
 
@@ -122,7 +110,7 @@ def run_lt(g: WeightedGraph, seeds, cfg: BaselineConfig, rng_seed: int) -> Casca
     """
     if cfg.model != LT:
         raise InvalidParameter("model", "config is not an LT config")
-    seeds = _check_seeds(g, seeds)
+    seeds = check_seeds(g, seeds)
     rng = np.random.default_rng(int(rng_seed))
     n = g.n
     if cfg.lt_dist == UNIFORM:
@@ -145,7 +133,9 @@ def run_lt(g: WeightedGraph, seeds, cfg: BaselineConfig, rng_seed: int) -> Casca
         pos = g.raw.row_positions(newly)
         np.add.at(active_wsum, g.raw.indices[pos], g.weights.data[pos])
         t += 1
-        influence = active_wsum / g.weighted_degree
+        # a node without tie mass feels no influence, as in updyn.step
+        influence = np.divide(active_wsum, g.weighted_degree, out=np.zeros(n),
+                              where=g.weighted_degree > TIE_EPS)
         newly = np.flatnonzero(~active & (influence >= theta))
     return _record(g, cfg, seeds, int(rng_seed), activation_time, new_per_step, t, LT)
 
@@ -153,7 +143,7 @@ def run_lt(g: WeightedGraph, seeds, cfg: BaselineConfig, rng_seed: int) -> Casca
 def run_kcomplex(g: WeightedGraph, seeds, k: int) -> CascadeRecord:
     """Deterministic k-complex contagion: activate on >= k active neighbors."""
     cfg = BaselineConfig(model=KCOMPLEX, k=k)
-    seeds = _check_seeds(g, seeds)
+    seeds = check_seeds(g, seeds)
     n = g.n
     activation_time = np.full(n, -1, dtype=np.int64)
     active = np.zeros(n, dtype=bool)

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import json
 import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from .errors import ConfigError, InvalidParameter
 from .experiments import (
     ExperimentConfig,
     misaligned_vector,
+    pool_map,
     rq1_spread_distribution,
     rq2_growth_curves,
     rq3_size_scaling,
@@ -51,7 +52,7 @@ from .netgen import build_graph, load_graph, save_graph
 from .optimizer import BeamConfig, beam_search, build_candidate_pool
 from .plotting import render_hist_svg, render_line_svg
 from .rng import derive_seed
-from .updyn import Propagation, SimParams, run_cascade
+from .updyn import Propagation, RunTally, SimParams, check_seeds, run_cascades
 
 logger = logging.getLogger(__name__)
 
@@ -87,6 +88,31 @@ def write_manifest(out_dir, command: str, config: dict, master_seed,
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def blas_threads() -> dict:
+    """Threads each loaded OpenBLAS library uses, by library file name.
+
+    Dense eigendecompositions round differently with the thread count, so
+    byte-identical graphs need the same BLAS library and thread count. Empty
+    where the loaded libraries cannot be listed (no /proc/self/maps).
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line})
+    except OSError:
+        return {}
+    out = {}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                out[Path(path).name] = int(fn())
+                break
+    return out
 
 
 def write_csv(path, rows, columns=None) -> None:
@@ -148,13 +174,25 @@ def _load_config_file(path) -> dict:
 def _merged(args, config: dict, key: str, default, kind=None):
     """Explicit flag wins, then config file, then the default.
 
-    With ``kind`` (int or float) a value other than None is cast to it, and
-    one that does not cast raises InvalidParameter naming ``key``.
+    With ``kind`` (int, float or boolean) a value other than None is cast to
+    it, and one that does not cast raises InvalidParameter naming ``key``.
     """
     val = getattr(args, key.replace("-", "_"), None)
     if val is None:
         val = config.get(key, default)
     return _typed(key, val, kind)
+
+
+def boolean(val) -> bool:
+    """Strict flag value: a JSON boolean, 0 or 1, or one of the strings
+    true, false, 0, 1 (any case)."""
+    if isinstance(val, bool):
+        return val
+    if isinstance(val, int) and val in (0, 1):
+        return bool(val)
+    if isinstance(val, str) and val.strip().lower() in ("true", "false", "1", "0"):
+        return val.strip().lower() in ("true", "1")
+    raise ValueError(f"not a boolean: {val!r}")
 
 
 def _typed(key: str, val, kind):
@@ -182,7 +220,7 @@ def _sim_params_from(args, config) -> SimParams:
         drift=_merged(args, config, "lambda", 0.0, float),
         max_steps=_merged(args, config, "max-steps", None, int),
         viral_fraction=_merged(args, config, "viral-fraction", 0.5, float),
-        require_contact=not bool(_merged(args, config, "spontaneous", False)),
+        require_contact=not _merged(args, config, "spontaneous", False, boolean),
     )
 
 
@@ -191,24 +229,6 @@ def _jobs_from(args, config) -> int:
     if val is None:
         val = _typed("jobs", os.environ.get("CONTAGION_JOBS", 1), int)
     return max(1, val)
-
-
-# ---------------------------------------------------------------------------
-# simulate workers (module level for pickling)
-
-_SIM = {}
-
-
-def _sim_init(graph, params):
-    _SIM["graph"] = graph
-    _SIM["params"] = params
-
-
-def _sim_run(task):
-    seeds, vec, run_seed = task
-    rec = run_cascade(_SIM["graph"], Propagation(vec=np.asarray(vec)), seeds,
-                      _SIM["params"], run_seed)
-    return rec.to_dict()
 
 
 def _read_prop_vector(path) -> np.ndarray:
@@ -223,7 +243,12 @@ def _read_prop_vector(path) -> np.ndarray:
     return Propagation.from_vector(doc["vector"]).vec
 
 
-def _simulate_records(g, seeds, prop_mode, params, master_seed, n_runs, jobs):
+def _record_dicts(g, runs, params):
+    tally = RunTally()
+    return [rec.to_dict() for rec in run_cascades(g, runs, params, tally)], tally
+
+
+def _simulate_records(g, seeds, prop_mode, params, master_seed, n_runs, jobs, tally):
     cosine = None
     if prop_mode == "self":
         vec = g.features.rows[seeds[0]].copy()
@@ -234,19 +259,13 @@ def _simulate_records(g, seeds, prop_mode, params, master_seed, n_runs, jobs):
             raise InvalidParameter("prop", f"bad affinity cosine in {prop_mode!r}")
     else:
         vec = _read_prop_vector(prop_mode)
-    tasks = []
+    runs = []
     for i in range(n_runs):
-        run_seed = derive_seed(master_seed, "run", i)
         if cosine is not None:
             rng = np.random.default_rng(derive_seed(master_seed, "dir", i))
             vec = misaligned_vector(g.features.rows[seeds[0]], cosine, rng)
-        tasks.append((seeds, vec, run_seed))
-    if jobs <= 1 or len(tasks) < 4:
-        _sim_init(g, params)
-        return [_sim_run(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_sim_init,
-                             initargs=(g, params)) as pool:
-        return list(pool.map(_sim_run, tasks))
+        runs.append((Propagation(vec=vec), seeds, derive_seed(master_seed, "run", i)))
+    return pool_map(_record_dicts, g, runs, (params,), jobs, tally)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +287,7 @@ def cmd_netgen(args) -> int:
                    {"nodes": n, "attach": r, "embed_dim": k, "seed": seed, "out": str(out)},
                    seed, [args.config], [out], started,
                    metrics={"solver": feats.solver, "max_residual": feats.max_residual,
-                            "warnings": list(feats.warnings)})
+                            "warnings": list(feats.warnings), "blas_threads": blas_threads()})
     print(f"wrote {out}: n={n} edges={len(g.raw.edges)} k={k}")
     return 0
 
@@ -288,7 +307,9 @@ def cmd_simulate(args) -> int:
     jobs = _jobs_from(args, config)
 
     g = load_graph(graph_path)
-    records = _simulate_records(g, seeds, prop_mode, params, master_seed, n_runs, jobs)
+    seeds = check_seeds(g, seeds)
+    tally = RunTally()
+    records = _simulate_records(g, seeds, prop_mode, params, master_seed, n_runs, jobs, tally)
     Path(out).parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as fh:
         for rec in records:
@@ -298,7 +319,8 @@ def cmd_simulate(args) -> int:
                    {"graph": str(graph_path), "seeds": seeds, "prop": prop_mode,
                     "runs": n_runs, "params": params.to_dict(), "jobs": jobs,
                     "out": str(out)},
-                   master_seed, [args.config, graph_path], [out], started)
+                   master_seed, [args.config, graph_path], [out], started,
+                   metrics=tally.to_dict())
     spreads = [r["final_spread"] for r in records]
     print(f"wrote {out}: {len(records)} runs, mean spread {np.mean(spreads):.1f}")
     return 0
@@ -491,22 +513,23 @@ def cmd_experiment(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    tally = RunTally()
     if rq == 1:
-        result = rq1_spread_distribution(cfg)
+        result = rq1_spread_distribution(cfg, tally=tally)
     elif rq == 2:
-        result = rq2_growth_curves(cfg)
+        result = rq2_growth_curves(cfg, tally=tally)
     elif rq == 3:
-        result = rq3_size_scaling(cfg)
+        result = rq3_size_scaling(cfg, tally=tally)
     elif rq == 4:
-        result = rq4_param_sweep(cfg, args.axis)
+        result = rq4_param_sweep(cfg, args.axis, tally=tally)
     elif rq == 5:
-        result = rq5_affinity_sweep(cfg)
+        result = rq5_affinity_sweep(cfg, tally=tally)
     else:
         raise InvalidParameter("rq", f"unknown research question {rq}")
 
     outputs = _experiment_outputs(rq, result, out_dir)
     write_manifest(out_dir, f"experiment-rq{rq}", cfg.to_dict(), cfg.master_seed,
-                   [args.config], outputs, started)
+                   [args.config], outputs, started, metrics=tally.to_dict())
     print(f"wrote {len(outputs)} tables/plots to {out_dir}")
     return 0
 
@@ -542,7 +565,7 @@ def cmd_learn(args) -> int:
     steps = _merged(args, config, "steps", 200, int)
     lr = _merged(args, config, "lr", 0.01, float)
     master_seed = _merged(args, config, "seed", 0, int)
-    augment = bool(_merged(args, config, "augment", False))
+    augment = _merged(args, config, "augment", False, boolean)
     out = _merged(args, config, "out", "model.json")
 
     params = init_params(host, form, rng_seed=derive_seed(master_seed, "init"))

@@ -19,7 +19,8 @@ from .analytics import kendall_tau, spearman, ttv_from_new_per_step
 from .errors import ConfigError, InvalidParameter
 from .netgen import CORE, INTERMEDIATE, PERIPHERY, WeightedGraph, build_graph, diameter
 from .rng import derive_seed
-from .updyn import Propagation, SimParams, run_cascade
+from .updyn import Propagation, RunTally, SimParams, run_cascades
+from .updyn import run_cascade  # noqa: F401  re-exported
 
 logger = logging.getLogger(__name__)
 
@@ -136,30 +137,50 @@ class RunSummary:
 _WORKER = {}
 
 
-def _worker_init(graph: WeightedGraph, params: SimParams, keep_series: bool):
+def _worker_init(graph: WeightedGraph):
     _WORKER["graph"] = graph
-    _WORKER["params"] = params
-    _WORKER["keep_series"] = keep_series
 
 
-def _worker_run(task):
-    node, vec, run_index, seed = task
-    return _summarize_run(
-        _WORKER["graph"], vec, node, run_index, _WORKER["params"], seed,
-        _WORKER["keep_series"],
-    )
+def _worker_run(job):
+    fn, items, args = job
+    return fn(_WORKER["graph"], items, *args)
 
 
-def _summarize_run(g, vec, node, run_index, params, seed, keep_series) -> RunSummary:
-    rec = run_cascade(g, Propagation(vec=vec), [int(node)], params, seed)
+def pool_map(fn, g: WeightedGraph, items, args=(), jobs: int = 1,
+             tally: RunTally | None = None) -> list:
+    """Apply ``fn(g, items, *args) -> (outputs, RunTally)`` to ``items``.
+
+    With ``jobs > 1`` contiguous slices of the items run in a process pool.
+    Outputs follow the input order regardless of worker count; ``tally``,
+    when given, accumulates the slices' tallies.
+    """
+    items = list(items)
+    if jobs <= 1 or len(items) < 4:
+        parts = [fn(g, items, *args)]
+    else:
+        bounds = np.linspace(0, len(items), min(len(items), 4 * jobs) + 1).astype(int)
+        work = [(fn, items[a:b], args) for a, b in zip(bounds[:-1], bounds[1:])]
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
+                                 initargs=(g,)) as pool:
+            parts = list(pool.map(_worker_run, work))
+    outputs = []
+    for part, part_tally in parts:
+        outputs += part
+        if tally is not None:
+            tally.add(part_tally)
+    return outputs
+
+
+def _summarize(rec, run_index, params, keep_series) -> RunSummary:
     waves = rec.new_per_step
-    ttv = ttv_from_new_per_step(waves, g.n, params.viral_fraction)
+    n = rec.n
+    ttv = ttv_from_new_per_step(waves, n, params.viral_fraction)
     tipping = int(np.argmax(waves)) if waves[1:].sum() else None
     return RunSummary(
-        node=int(node),
+        node=int(rec.seed_set[0]),
         run_index=int(run_index),
         spread=rec.final_spread,
-        viral=rec.final_spread >= params.viral_fraction * g.n,
+        viral=rec.final_spread >= params.viral_fraction * n,
         time_to_virality=ttv,
         tipping=tipping,
         converged_at=rec.converged_at,
@@ -168,20 +189,19 @@ def _summarize_run(g, vec, node, run_index, params, seed, keep_series) -> RunSum
     )
 
 
+def _summarize_tasks(g, tasks, params, keep_series):
+    tally = RunTally()
+    records = run_cascades(g, [(Propagation(vec=vec), [node], seed)
+                               for node, vec, _, seed in tasks], params, tally)
+    return [_summarize(rec, idx, params, keep_series)
+            for (_, _, idx, _), rec in zip(tasks, records)], tally
+
+
 def run_batch(g: WeightedGraph, tasks, params: SimParams, jobs: int = 1,
-              keep_series: bool = False) -> list:
-    """Execute (node, vec, run_index, seed) tasks; order follows the input
-    list regardless of worker count."""
-    tasks = list(tasks)
-    if jobs <= 1 or len(tasks) < 4:
-        return [
-            _summarize_run(g, vec, node, idx, params, seed, keep_series)
-            for node, vec, idx, seed in tasks
-        ]
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_worker_init, initargs=(g, params, keep_series)
-    ) as pool:
-        return list(pool.map(_worker_run, tasks, chunksize=max(1, len(tasks) // (jobs * 4))))
+              keep_series: bool = False, tally: RunTally | None = None) -> list:
+    """Execute (node, vec, run_index, seed) tasks as lockstep cascades; order
+    follows the input list regardless of worker count."""
+    return pool_map(_summarize_tasks, g, tasks, (params, keep_series), jobs, tally)
 
 
 def _self_tasks(cfg: ExperimentConfig, g: WeightedGraph, nodes, label: str):
@@ -191,7 +211,8 @@ def _self_tasks(cfg: ExperimentConfig, g: WeightedGraph, nodes, label: str):
             yield int(node), vec, i, derive_seed(cfg.master_seed, label, int(node), i)
 
 
-def rq1_spread_distribution(cfg: ExperimentConfig, g: WeightedGraph | None = None) -> dict:
+def rq1_spread_distribution(cfg: ExperimentConfig, g: WeightedGraph | None = None, *,
+                            tally: RunTally | None = None) -> dict:
     """Self-propagation spread distribution and degree correlation.
 
     Returns tables: per-run rows, per-node aggregates, a spread histogram,
@@ -201,7 +222,8 @@ def rq1_spread_distribution(cfg: ExperimentConfig, g: WeightedGraph | None = Non
     if g is None:
         g = build_graph(cfg.graph.n, cfg.graph.r, cfg.graph.embed_dim, cfg.graph.seed)
     nodes = select_nodes(cfg, g)
-    summaries = run_batch(g, _self_tasks(cfg, g, nodes, "rq1"), cfg.params, cfg.jobs)
+    summaries = run_batch(g, _self_tasks(cfg, g, nodes, "rq1"), cfg.params, cfg.jobs,
+                          tally=tally)
 
     degree = g.raw.degree
     runs_rows = []
@@ -264,7 +286,8 @@ def rq1_spread_distribution(cfg: ExperimentConfig, g: WeightedGraph | None = Non
     }
 
 
-def rq2_growth_curves(cfg: ExperimentConfig, g: WeightedGraph | None = None) -> dict:
+def rq2_growth_curves(cfg: ExperimentConfig, g: WeightedGraph | None = None, *,
+                      tally: RunTally | None = None) -> dict:
     """Adoption time series of viral runs from representative segment seeds."""
     if g is None:
         g = build_graph(cfg.graph.n, cfg.graph.r, cfg.graph.embed_dim, cfg.graph.seed)
@@ -276,7 +299,8 @@ def rq2_growth_curves(cfg: ExperimentConfig, g: WeightedGraph | None = None) -> 
         picks.extend(int(x) for x in rng.choice(members, size=take, replace=False))
 
     summaries = run_batch(
-        g, _self_tasks(cfg, g, picks, "rq2"), cfg.params, cfg.jobs, keep_series=True
+        g, _self_tasks(cfg, g, picks, "rq2"), cfg.params, cfg.jobs, keep_series=True,
+        tally=tally,
     )
     viral = [s for s in summaries if s.viral]
     if not viral:
@@ -314,7 +338,7 @@ def rq2_growth_curves(cfg: ExperimentConfig, g: WeightedGraph | None = None) -> 
     return {"series": series_rows, "tipping": tipping_rows, "summary": summary}
 
 
-def rq3_size_scaling(cfg: ExperimentConfig) -> dict:
+def rq3_size_scaling(cfg: ExperimentConfig, *, tally: RunTally | None = None) -> dict:
     """Time to virality and diameter as network size grows."""
     sizes = tuple(int(x) for x in (cfg.sweep_values or DEFAULT_SIZES))
     rows = []
@@ -333,7 +357,7 @@ def rq3_size_scaling(cfg: ExperimentConfig) -> dict:
                 for v in seeds
                 for i in range(cfg.runs_per_node)
             ]
-            summaries = run_batch(g, tasks, cfg.params, cfg.jobs)
+            summaries = run_batch(g, tasks, cfg.params, cfg.jobs, tally=tally)
             ttvs = [s.time_to_virality for s in summaries if s.time_to_virality is not None]
             rows.append({
                 "n": n,
@@ -379,7 +403,7 @@ def sweep_weights(axis: str, value: float) -> tuple[float, float]:
 
 
 def rq4_param_sweep(cfg: ExperimentConfig, axis: str | None = None,
-                    g: WeightedGraph | None = None) -> dict:
+                    g: WeightedGraph | None = None, *, tally: RunTally | None = None) -> dict:
     """Virality frequency and time to virality across a weight grid."""
     axis = axis or cfg.sweep_axis
     if axis is None:
@@ -397,7 +421,8 @@ def rq4_param_sweep(cfg: ExperimentConfig, axis: str | None = None,
         alpha, beta = sweep_weights(axis, float(value))
         params = replace(cfg.params, alpha=alpha, beta=beta)
         # same derived seeds at every grid value: paired comparisons
-        summaries = run_batch(g, _self_tasks(cfg, g, nodes, "rq4"), params, cfg.jobs)
+        summaries = run_batch(g, _self_tasks(cfg, g, nodes, "rq4"), params, cfg.jobs,
+                              tally=tally)
         ttvs = [s.time_to_virality for s in summaries if s.time_to_virality is not None]
         rows.append({
             "value": float(value),
@@ -449,7 +474,8 @@ def misaligned_vector(x_seed: np.ndarray, cosine: float, rng: np.random.Generato
     return out / np.linalg.norm(out)
 
 
-def rq5_affinity_sweep(cfg: ExperimentConfig, g: WeightedGraph | None = None) -> dict:
+def rq5_affinity_sweep(cfg: ExperimentConfig, g: WeightedGraph | None = None, *,
+                       tally: RunTally | None = None) -> dict:
     """Virality against initial propagation-seed alignment.
 
     For every (node, run) the orthogonal direction and the cascade seed are
@@ -475,7 +501,7 @@ def rq5_affinity_sweep(cfg: ExperimentConfig, g: WeightedGraph | None = None) ->
                 vec = misaligned_vector(x, float(value), dir_rng)
                 dot_errs.append(abs(float(vec @ x) - float(value)))
                 tasks.append((node, vec, i, derive_seed(cfg.master_seed, "rq5", node, i)))
-        summaries = run_batch(g, tasks, cfg.params, cfg.jobs)
+        summaries = run_batch(g, tasks, cfg.params, cfg.jobs, tally=tally)
         ttvs = [s.time_to_virality for s in summaries if s.time_to_virality is not None]
         rows.append({
             "cosine": float(value),

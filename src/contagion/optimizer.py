@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InvalidParameter
 from .netgen import CORE, WeightedGraph
 from .rng import derive_seed
-from .updyn import Propagation, SimParams, run_cascade
+from .updyn import Propagation, SimParams, run_cascades
 
 logger = logging.getLogger(__name__)
 
@@ -175,10 +175,9 @@ def estimate_spread(g: WeightedGraph, c, v: int, M: int, params: SimParams,
     """
     if M < 1:
         raise InvalidParameter("sims", "need at least one simulation")
-    spreads = np.empty(M)
-    for i in range(M):
-        rec = run_cascade(g, c, [v], params, derive_seed(rng_seed, "sim", i))
-        spreads[i] = rec.final_spread
+    records = run_cascades(g, [(c, [v], derive_seed(rng_seed, "sim", i)) for i in range(M)],
+                           params)
+    spreads = np.array([rec.final_spread for rec in records], dtype=np.float64)
     stderr = float(spreads.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0
     return SpreadEstimate(mean=float(spreads.mean()), stderr=stderr, sims=M)
 
@@ -331,10 +330,9 @@ def dp_policy(g: WeightedGraph, v: int, cfg: DpConfig, params: SimParams,
     probe_params = params
     for r, vec in enumerate(cfg.codebook):
         prop = Propagation.from_vector(np.asarray(vec, dtype=np.float64))
-        for sim in range(cfg.sims_per_estimate):
-            rec = run_cascade(
-                g, prop, [int(v)], probe_params, derive_seed(rng_seed, "dp", r, sim)
-            )
+        records = run_cascades(g, [(prop, [int(v)], derive_seed(rng_seed, "dp", r, sim))
+                                   for sim in range(cfg.sims_per_estimate)], probe_params)
+        for sim, rec in enumerate(records):
             # replay the trajectory, probing each visited state
             active_nodes = np.flatnonzero(rec.activation_time >= 0)
             times = rec.activation_time[active_nodes]

@@ -23,7 +23,7 @@ distributions and incubation behavior this toolkit studies). Setting
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +37,10 @@ logger = logging.getLogger(__name__)
 # every incident weight of a node (a neighbor pulled antipodal to it), and the
 # incremental degree tallies then keep only rounding residue.
 TIE_EPS = 1e-12
+# A lockstep batch holds at most this many state cells (array entries): five
+# per node for each run, plus the run's own degrees, features and edge
+# weights under drift. At n = 1000 that is 419 runs in about 14 MB.
+CHUNK_CELLS = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -203,6 +207,25 @@ class CascadeRecord:
         }
 
 
+@dataclass
+class RunTally:
+    """What a set of cascades did: runs, synchronous steps (``converged_at``
+    summed), Bernoulli draws (eligible-set sizes summed over steps) and runs
+    stopped by the step cap."""
+
+    cascades: int = 0
+    steps: int = 0
+    draws: int = 0
+    hit_cap_runs: int = 0
+
+    def add(self, other: "RunTally") -> None:
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
 def affinity(c, x_v) -> float:
     """Calibrated propagation affinity (1 + c . x_v) / 2 in [0, 1]."""
     vec = as_propagation(c).vec
@@ -235,8 +258,8 @@ def activation_prob(v: int, state: CascadeState, c, g: WeightedGraph, p: SimPara
     return float(np.clip(raw, 0.0, 1.0))
 
 
-def init_state(g: WeightedGraph, c, seeds, p: SimParams) -> CascadeState:
-    """Fresh run state with the seed set active at time 0."""
+def check_seeds(g: WeightedGraph, seeds) -> list:
+    """Seed ids as ints; raises unless they are distinct, non-empty and in range."""
     seeds = [int(s) for s in seeds]
     if len(seeds) == 0:
         raise InvalidParameter("seeds", "seed set must be non-empty")
@@ -244,56 +267,205 @@ def init_state(g: WeightedGraph, c, seeds, p: SimParams) -> CascadeState:
         raise InvalidParameter("seeds", "seed ids must be distinct")
     if min(seeds) < 0 or max(seeds) >= g.n:
         raise InvalidParameter("seeds", f"seed ids must lie in [0, {g.n})")
-    vec = as_propagation(c).vec
-    if len(vec) != g.features.k:
+    return seeds
+
+
+def _checked_propagation(g: WeightedGraph, c) -> Propagation:
+    prop = as_propagation(c)
+    if len(prop.vec) != g.features.k:
         raise InvalidParameter("propagation", "dimension does not match node features")
-
-    n = g.n
-    active = np.zeros(n, dtype=bool)
-    activation_time = np.full(n, -1, dtype=np.int64)
-    active_nbr_count = np.zeros(n, dtype=np.int64)
-    active_wsum = np.zeros(n, dtype=np.float64)
-    state = CascadeState(
-        active=active,
-        activation_time=activation_time,
-        step=0,
-        stable_steps=0,
-        active_count=0,
-        active_nbr_count=active_nbr_count,
-        active_wsum=active_wsum,
-        live_degree=g.weighted_degree,
-        live_features=g.features.rows,
-        live_weights=g.weights.data,
-        affinity_hat=np.clip((1.0 + g.features.rows @ vec) / 2.0, 0.0, 1.0),
-        owns_live=False,
-    )
-    _activate(state, g, seeds, 0)
-    return state
+    return prop
 
 
-def _activate(state: CascadeState, g: WeightedGraph, nodes, t) -> None:
-    """Activate distinct ``nodes`` at step ``t`` and credit their neighbours.
+# ---------------------------------------------------------------------------
+# lockstep engine: R runs on one graph, one run per row of the state
 
-    ``t`` is one step for all nodes or one per node. One scatter over the
-    nodes' CSR rows in the given order adds to every neighbour in the same
-    order as activating the nodes one by one.
+
+@dataclass
+class _Rows:
+    """State of R cascades on one graph, run r in row r.
+
+    Node arrays are flat: cell ``r * n + v`` holds node v of run r, so each
+    row is the contiguous slice ``r * n : (r + 1) * n``. Unless ``own_live``,
+    ``live_degree``, ``live_features`` and ``live_weights`` are the graph's
+    (n,), (n, k) and (nnz,) arrays, shared by every row; with it each run
+    has its own (R * n,), (R, n, k) and (R, nnz) copies, which drift
+    rewrites.
     """
-    state.active[nodes] = True
-    state.activation_time[nodes] = t
-    state.active_count += len(nodes)
-    pos = g.raw.row_positions(nodes)
-    nbrs = g.raw.indices[pos]
-    np.add.at(state.active_nbr_count, nbrs, 1)
-    np.add.at(state.active_wsum, nbrs, state.live_weights[pos])
+
+    n: int
+    active: np.ndarray  # (R * n,) bool
+    activation_time: np.ndarray  # (R * n,) int64, -1 = never activated
+    active_nbr_count: np.ndarray  # (R * n,) int64
+    active_wsum: np.ndarray  # (R * n,)
+    affinity_hat: np.ndarray  # (R * n,)
+    active_count: np.ndarray  # (R,) int64
+    live_degree: np.ndarray
+    live_features: np.ndarray
+    live_weights: np.ndarray
+    own_live: bool = False
+
+    def row(self, name: str, r: int) -> np.ndarray:
+        """View of run r's slice of a node array."""
+        return getattr(self, name)[r * self.n:(r + 1) * self.n]
+
+    def take(self, keep: np.ndarray) -> "_Rows":
+        """The rows selected by ``keep``, in order."""
+        R = len(self.active_count)
+        kept = {name: getattr(self, name).reshape(R, -1)[keep].ravel()
+                for name in ("active", "activation_time", "active_nbr_count", "active_wsum",
+                             "affinity_hat")}
+        kept["active_count"] = self.active_count[keep]
+        if self.own_live:
+            kept["live_degree"] = self.live_degree.reshape(R, -1)[keep].ravel()
+            kept["live_features"] = self.live_features[keep]
+            kept["live_weights"] = self.live_weights[keep]
+        return replace(self, **kept)
 
 
-def _ensure_owned(state: CascadeState, g: WeightedGraph) -> None:
-    # copy-on-write for the drift path
-    if not state.owns_live:
-        state.live_features = state.live_features.copy()
-        state.live_degree = state.live_degree.copy()
-        state.live_weights = state.live_weights.copy()
-        state.owns_live = True
+def _fresh_rows(g: WeightedGraph, props, own_live: bool) -> _Rows:
+    R, n = len(props), g.n
+    affinity_hat = np.empty(R * n)
+    for r, prop in enumerate(props):
+        # one matrix-vector product per run keeps each row's bits
+        affinity_hat[r * n:(r + 1) * n] = np.clip((1.0 + g.features.rows @ prop.vec) / 2.0,
+                                                  0.0, 1.0)
+    live = (g.weighted_degree, g.features.rows, g.weights.data)
+    if own_live:
+        live = (np.tile(g.weighted_degree, R), np.repeat(g.features.rows[None], R, axis=0),
+                np.repeat(g.weights.data[None], R, axis=0))
+    return _Rows(
+        n=n,
+        active=np.zeros(R * n, dtype=bool),
+        activation_time=np.full(R * n, -1, dtype=np.int64),
+        active_nbr_count=np.zeros(R * n, dtype=np.int64),
+        active_wsum=np.zeros(R * n),
+        affinity_hat=affinity_hat,
+        active_count=np.zeros(R, dtype=np.int64),
+        live_degree=live[0],
+        live_features=live[1],
+        live_weights=live[2],
+        own_live=own_live,
+    )
+
+
+def _rows_of(state: CascadeState) -> _Rows:
+    """One-row view of a single run's state; array writes go through to it."""
+    return _Rows(
+        n=state.n,
+        active=state.active,
+        activation_time=state.activation_time,
+        active_nbr_count=state.active_nbr_count,
+        active_wsum=state.active_wsum,
+        affinity_hat=state.affinity_hat,
+        active_count=np.array([state.active_count], dtype=np.int64),
+        live_degree=state.live_degree,
+        live_features=state.live_features,
+        live_weights=state.live_weights,
+    )
+
+
+def _eligible(rows: _Rows, p: SimParams):
+    """Cells that draw this step, as flat indices in row-major order (so each
+    run's nodes ascend), and the list of their counts per row."""
+    mask = ~rows.active
+    if p.require_contact:
+        mask &= rows.active_nbr_count > 0
+    eligible = mask.nonzero()[0]
+    if len(rows.active_count) == 1:
+        return eligible, [len(eligible)]
+    return eligible, np.add.reduce(mask.reshape(-1, rows.n), axis=1).tolist()
+
+
+def _draw(rows: _Rows, p: SimParams, rngs, eligible: np.ndarray, counts: list):
+    """Bernoulli draws over the eligible cells of rows that all have some.
+
+    Probabilities come from the pre-step state. Run r draws
+    ``rngs[r].random(counts[r])`` for its eligible nodes in ascending order,
+    so each run consumes its stream as if stepped alone. Returns the run and
+    node of each cell that fires, and the list of firings per row.
+    """
+    R, n = len(rows.active_count), rows.n
+    if R == 1:
+        # one row: cells are node ids and the global term is one number
+        run, node = None, eligible
+        glob = p.global_weight * (int(rows.active_count[0]) / n)
+        draws = rngs[0].random(len(eligible))
+    else:
+        run = np.arange(R).repeat(counts)
+        node = eligible - run * n
+        glob = (p.global_weight * (rows.active_count / n)).repeat(counts)
+        draws = np.concatenate([rng.random(k) for rng, k in zip(rngs, counts)])
+    degree = rows.live_degree[eligible if rows.own_live else node]
+    li = np.divide(rows.active_wsum[eligible], degree, out=np.zeros(len(eligible)),
+                   where=degree > TIE_EPS)
+    probs = p.gamma * (p.alpha * rows.affinity_hat[eligible] + p.beta * li + glob)
+    if p.gamma > 1.0:
+        # all three scores sit in [0,1] and the weights sum to 1, so the
+        # aggregate only leaves [0,1] for gamma above 1
+        np.clip(probs, 0.0, 1.0, out=probs)
+    hits = draws < probs
+    if R == 1:
+        fired = node[hits]
+        return None, fired, [len(fired)]
+    run = run[hits]
+    return run, node[hits], np.bincount(run, minlength=R).tolist()
+
+
+def _activate_rows(rows: _Rows, g: WeightedGraph, run, node, t) -> None:
+    """Activate the distinct cells (run[i], node[i]) at step ``t`` and credit
+    their neighbours; with one row ``run`` is ignored.
+
+    ``t`` is one step for all cells or one per cell. One scatter over the
+    nodes' CSR rows, in the given order, adds to every neighbour cell in the
+    same order as activating the cells one by one.
+    """
+    R, n = len(rows.active_count), rows.n
+    pos = g.raw.row_positions(node)
+    cells = g.raw.indices[pos]
+    if R == 1:
+        # one row: cells are node ids
+        flat, weights = node, rows.live_weights.ravel()[pos]
+        rows.active_count[0] += len(node)
+    else:
+        flat = run * n + node
+        runs = run.repeat(g.raw.indptr[node + 1] - g.raw.indptr[node])
+        weights = rows.live_weights[runs, pos] if rows.own_live else rows.live_weights[pos]
+        cells = cells + runs * n
+        rows.active_count += np.bincount(run, minlength=R)
+    rows.active[flat] = True
+    rows.activation_time[flat] = t
+    np.add.at(rows.active_nbr_count, cells, 1)
+    np.add.at(rows.active_wsum, cells, weights)
+
+
+def _apply_drift(features, weights, degree, wsum, active, g: WeightedGraph, c, lam: float,
+                 new_nodes) -> None:
+    """Drift one run's newly activated features and refresh their incident
+    weights, on that run's live arrays.
+
+    Processed in ascending node order after all draws of the step; weight
+    refreshes use the current live features, so simultaneous activations see
+    one another's updated features once processed.
+    """
+    indptr = g.raw.indptr
+    for v in sorted(int(x) for x in new_nodes):
+        new_x = drift_update(features[v], c, lam)
+        features[v] = new_x
+        row = slice(indptr[v], indptr[v + 1])
+        nbrs = g.raw.indices[row]
+        new_w = np.clip((1.0 + features[nbrs] @ new_x) / 2.0, 0.0, 1.0)
+        delta = new_w - weights[row]
+        weights[row] = new_w
+        weights[g.rev[row]] = new_w
+        degree[v] += float(delta.sum())
+        degree[nbrs] += delta
+        # v is active, so its weight change moves the neighbors' active mass
+        wsum[nbrs] += delta
+        for d in delta[active[nbrs]]:
+            # one add per active neighbor in neighbor order; pinned-seed
+            # records depend on this rounding
+            wsum[v] += d
 
 
 def drift_update(x_v: np.ndarray, c, lam: float) -> np.ndarray:
@@ -311,72 +483,66 @@ def drift_update(x_v: np.ndarray, c, lam: float) -> np.ndarray:
     return mixed / norm
 
 
-def _apply_drift(state: CascadeState, g: WeightedGraph, c, lam: float, new_nodes) -> None:
-    """Drift newly activated features and refresh their incident weights.
+def _ensure_owned(state: CascadeState) -> None:
+    # copy-on-write for the drift path
+    if not state.owns_live:
+        state.live_features = state.live_features.copy()
+        state.live_degree = state.live_degree.copy()
+        state.live_weights = state.live_weights.copy()
+        state.owns_live = True
 
-    Processed in ascending node order after all draws of the step; weight
-    refreshes use the current live features, so simultaneous activations see
-    one another's updated features once processed.
-    """
-    _ensure_owned(state, g)
-    indptr = g.raw.indptr
-    for v in sorted(int(x) for x in new_nodes):
-        new_x = drift_update(state.live_features[v], c, lam)
-        state.live_features[v] = new_x
-        row = slice(indptr[v], indptr[v + 1])
-        nbrs = g.raw.indices[row]
-        new_w = np.clip((1.0 + state.live_features[nbrs] @ new_x) / 2.0, 0.0, 1.0)
-        delta = new_w - state.live_weights[row]
-        state.live_weights[row] = new_w
-        state.live_weights[g.rev[row]] = new_w
-        state.live_degree[v] += float(delta.sum())
-        state.live_degree[nbrs] += delta
-        # v is active, so its weight change moves the neighbors' active mass
-        state.active_wsum[nbrs] += delta
-        for d in delta[state.active[nbrs]]:
-            # one add per active neighbor in neighbor order; pinned-seed
-            # records depend on this rounding
-            state.active_wsum[v] += d
+
+def _activate(state: CascadeState, g: WeightedGraph, nodes, t) -> None:
+    """Activate distinct ``nodes`` of a single run at step ``t`` (one step or
+    one per node), in the given order."""
+    rows = _rows_of(state)
+    _activate_rows(rows, g, None, np.asarray(nodes, dtype=np.int64), t)
+    state.active_count = int(rows.active_count[0])
+
+
+def init_state(g: WeightedGraph, c, seeds, p: SimParams) -> CascadeState:
+    """Fresh run state with the seed set active at time 0."""
+    seeds = check_seeds(g, seeds)
+    rows = _fresh_rows(g, [_checked_propagation(g, c)], own_live=False)
+    state = CascadeState(
+        active=rows.active,
+        activation_time=rows.activation_time,
+        step=0,
+        stable_steps=0,
+        active_count=0,
+        active_nbr_count=rows.active_nbr_count,
+        active_wsum=rows.active_wsum,
+        live_degree=rows.live_degree,
+        live_features=rows.live_features,
+        live_weights=rows.live_weights,
+        affinity_hat=rows.affinity_hat,
+        owns_live=False,
+    )
+    _activate(state, g, seeds, 0)
+    return state
 
 
 def step(state: CascadeState, c, g: WeightedGraph, p: SimParams,
          rng: np.random.Generator) -> int:
     """Advance one synchronous step; returns the number of new adopters.
 
-    Probabilities are computed from the pre-step state; draws happen in
-    ascending node id order. With ``require_contact`` only inactive nodes
-    with an active neighbor participate.
+    The one-run case of the lockstep engine: probabilities are computed from
+    the pre-step state; draws happen in ascending node id order. With
+    ``require_contact`` only inactive nodes with an active neighbor
+    participate.
     """
     t = state.step + 1
-    if p.require_contact:
-        eligible = (~state.active & (state.active_nbr_count > 0)).nonzero()[0]
-    else:
-        eligible = (~state.active).nonzero()[0]
-
-    if len(eligible) == 0:
-        state.step = t
-        state.stable_steps += 1
-        return 0
-
-    degree = state.live_degree[eligible]
-    li = np.divide(state.active_wsum[eligible], degree, out=np.zeros(len(eligible)),
-                   where=degree > TIE_EPS)
-    gi = state.active_count / state.n
-    probs = p.gamma * (
-        p.alpha * state.affinity_hat[eligible] + p.beta * li + p.global_weight * gi
-    )
-    if p.gamma > 1.0:
-        # all three scores sit in [0,1] and the weights sum to 1, so the
-        # aggregate only leaves [0,1] for gamma above 1
-        np.clip(probs, 0.0, 1.0, out=probs)
-    hits = rng.random(len(eligible)) < probs
-    new_nodes = eligible[hits]
-
+    rows = _rows_of(state)
+    eligible, counts = _eligible(rows, p)
+    new_nodes = eligible[:0]
+    if len(eligible):
+        _, new_nodes, _ = _draw(rows, p, [rng], eligible, counts)
     if len(new_nodes):
         _activate(state, g, new_nodes, t)
         if p.drift > 0.0:
-            _apply_drift(state, g, c, p.drift, new_nodes)
-
+            _ensure_owned(state)
+            _apply_drift(state.live_features, state.live_weights, state.live_degree,
+                         state.active_wsum, state.active, g, c, p.drift, new_nodes)
     state.step = t
     state.stable_steps = 0 if len(new_nodes) else state.stable_steps + 1
     return int(len(new_nodes))
@@ -384,27 +550,118 @@ def step(state: CascadeState, c, g: WeightedGraph, p: SimParams,
 
 def run_cascade(g: WeightedGraph, c, seeds, p: SimParams, rng_seed: int) -> CascadeRecord:
     """Run one cascade to convergence (cooling period) or the step cap."""
-    prop = as_propagation(c)
-    state = init_state(g, prop, seeds, p)
-    rng = np.random.default_rng(int(rng_seed))
-    max_steps = p.resolve_max_steps(g.n)
-    new_per_step = [len(seeds)]
+    return run_cascades(g, [(c, seeds, rng_seed)], p)[0]
 
-    while state.stable_steps < p.epsilon and state.step < max_steps:
-        new_per_step.append(step(state, prop, g, p, rng))
 
-    return CascadeRecord(
-        params=p,
-        seed_set=tuple(int(s) for s in seeds),
-        propagation=prop,
-        rng_seed=int(rng_seed),
-        activation_time=state.activation_time.copy(),
-        new_per_step=np.array(new_per_step, dtype=np.int64),
-        final_spread=int(state.active_count),
-        converged_at=state.step,
-        hit_cap=state.stable_steps < p.epsilon,
-        model="up",
-    )
+def run_cascades(g: WeightedGraph, runs, p: SimParams, tally: RunTally | None = None) -> list:
+    """Run cascades ``(c, seeds, rng_seed)`` on one graph in lockstep.
+
+    Each run gets its own generator, draws for its eligible nodes in
+    ascending order and is credited by the same ordered scatter as when
+    stepped alone, so its record is bit-identical to a solo run. Runs are
+    advanced in batches of at most ``CHUNK_CELLS`` state cells. Records come
+    back in input order; ``tally``, when given, accumulates what they did.
+    """
+    checked = []
+    for c, seeds, rng_seed in runs:
+        seeds = check_seeds(g, seeds)
+        checked.append((_checked_propagation(g, c), seeds, int(rng_seed)))
+    runs = checked
+    row_cells = 5 * g.n
+    if p.drift > 0.0:
+        row_cells += g.n * (1 + g.features.k) + len(g.raw.indices)
+    size = max(1, CHUNK_CELLS // row_cells)
+    records, draws = [], 0
+    for start in range(0, len(runs), size):
+        chunk_records, chunk_draws = _run_chunk(g, runs[start:start + size], p)
+        records += chunk_records
+        draws += chunk_draws
+    if tally is not None:
+        tally.add(RunTally(cascades=len(records), steps=sum(r.converged_at for r in records),
+                           draws=draws, hit_cap_runs=sum(r.hit_cap for r in records)))
+    return records
+
+
+def _run_chunk(g: WeightedGraph, runs, p: SimParams):
+    """Step checked runs together until each converges or hits the cap.
+
+    Returns their records in input order and the number of draws made.
+    """
+    n, R = g.n, len(runs)
+    rows = _fresh_rows(g, [prop for prop, _, _ in runs], own_live=p.drift > 0.0)
+    sizes = [len(seeds) for _, seeds, _ in runs]
+    _activate_rows(rows, g, np.arange(R).repeat(sizes),
+                   np.array([s for _, seeds, _ in runs for s in seeds], dtype=np.int64), 0)
+    rngs = [np.random.default_rng(rng_seed) for _, _, rng_seed in runs]
+    live = list(range(R))  # input position of each row
+    stable = [0] * R
+    waves = [[k] for k in sizes]
+    max_steps = p.resolve_max_steps(n)
+    records = [None] * R
+    draws = t = 0
+
+    def retire(done, ends):
+        """Record the rows flagged in ``done``, converged at ``ends``; drop them."""
+        nonlocal rows, live, stable, rngs
+        for r in (r for r, d in enumerate(done) if d):
+            i = live[r]
+            prop, seeds, rng_seed = runs[i]
+            records[i] = CascadeRecord(
+                params=p,
+                seed_set=tuple(seeds),
+                propagation=prop,
+                rng_seed=rng_seed,
+                activation_time=rows.row("activation_time", r).copy(),
+                new_per_step=np.array(waves[i], dtype=np.int64),
+                final_spread=int(rows.active_count[r]),
+                converged_at=int(ends[r]),
+                hit_cap=stable[r] < p.epsilon,
+                model="up",
+            )
+        keep = [not d for d in done]
+        if any(keep):
+            live, stable, rngs = ([x for x, k in zip(xs, keep) if k] for xs in (live, stable, rngs))
+            rows = rows.take(np.array(keep))
+        else:
+            live = []
+
+    while live:
+        eligible, counts = _eligible(rows, p)
+        if 0 in counts:
+            # nothing can change in a run with no eligible node: the rest of
+            # its steps are cooling zeros, appended without stepping
+            idle = [k == 0 for k in counts]
+            ends = []
+            for r, k in enumerate(counts):
+                left = min(p.epsilon - stable[r], max_steps - t) if k == 0 else 0
+                waves[live[r]] += [0] * left
+                stable[r] += left
+                ends.append(t + left)
+            eligible -= n * np.cumsum(idle).repeat(counts)
+            counts = [k for k in counts if k]
+            retire(idle, ends)
+            if not live:
+                break
+        t += 1
+        draws += len(eligible)
+        run, node, new = _draw(rows, p, rngs, eligible, counts)
+        if len(node):
+            _activate_rows(rows, g, run, node, t)
+            if p.drift > 0.0:
+                start = 0
+                for r, k in enumerate(new):
+                    if k:
+                        _apply_drift(rows.live_features[r], rows.live_weights[r],
+                                     rows.row("live_degree", r), rows.row("active_wsum", r),
+                                     rows.row("active", r), g, runs[live[r]][0], p.drift,
+                                     node[start:start + k])
+                    start += k
+        for r, k in enumerate(new):
+            waves[live[r]].append(k)
+            stable[r] = 0 if k else stable[r] + 1
+        if t >= max_steps or max(stable) >= p.epsilon:
+            retire([t >= max_steps or s >= p.epsilon for s in stable], [t] * len(stable))
+    return records, draws
 
 
 def step_probs_matrix(state: CascadeState, c, g: WeightedGraph, p: SimParams) -> np.ndarray:

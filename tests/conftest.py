@@ -1,7 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from contagion.netgen import (
+# The determinism digests were taken with BLAS and OpenMP at 2 threads, and a
+# dense eigendecomposition rounds differently at another count. The count is
+# read when numpy loads its BLAS, so it is pinned before the first import.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "2"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from contagion.netgen import (  # noqa: E402
     RawGraph,
     _finish_raw,
     assign_edge_weights,

@@ -145,3 +145,81 @@ def diameter_all_sources(n: int, edges) -> int:
             return None
         best = max(best, max(dist.values()))
     return best
+
+
+def reference_cascade(g, c, seeds, params, rng_seed):
+    """One cascade stepped alone on node arrays of its own: the reference
+    the lockstep engine must match bit for bit.
+
+    ``c`` is a ``Propagation``. Returns (activation_time, new_per_step,
+    final_spread, converged_at, hit_cap, draws), where draws counts the
+    Bernoulli draws made (the eligible-set sizes summed over steps).
+    """
+    from contagion.updyn import TIE_EPS, drift_update
+
+    n, indptr, indices = g.n, g.raw.indptr, g.raw.indices
+    c_vec = c.vec
+    active = np.zeros(n, dtype=bool)
+    activation_time = np.full(n, -1, dtype=np.int64)
+    nbr_count = np.zeros(n, dtype=np.int64)
+    wsum = np.zeros(n)
+    degree, features, weights = g.weighted_degree, g.features.rows, g.weights.data
+    affinity_hat = np.clip((1.0 + g.features.rows @ c_vec) / 2.0, 0.0, 1.0)
+    owned = False
+
+    def activate(nodes, t):
+        active[nodes] = True
+        activation_time[nodes] = t
+        pos = np.concatenate([np.arange(indptr[v], indptr[v + 1]) for v in nodes])
+        np.add.at(nbr_count, indices[pos], 1)
+        np.add.at(wsum, indices[pos], weights[pos])
+
+    seeds = [int(s) for s in seeds]
+    activate(seeds, 0)
+    count, step, stable, draws = len(seeds), 0, 0, 0
+    new_per_step = [len(seeds)]
+    rng = np.random.default_rng(int(rng_seed))
+    max_steps = params.resolve_max_steps(n)
+    while stable < params.epsilon and step < max_steps:
+        step += 1
+        if params.require_contact:
+            eligible = (~active & (nbr_count > 0)).nonzero()[0]
+        else:
+            eligible = (~active).nonzero()[0]
+        if len(eligible) == 0:
+            stable += 1
+            new_per_step.append(0)
+            continue
+        draws += len(eligible)
+        deg = degree[eligible]
+        li = np.divide(wsum[eligible], deg, out=np.zeros(len(eligible)), where=deg > TIE_EPS)
+        probs = params.gamma * (params.alpha * affinity_hat[eligible] + params.beta * li
+                                + params.global_weight * (count / n))
+        if params.gamma > 1.0:
+            np.clip(probs, 0.0, 1.0, out=probs)
+        new_nodes = eligible[rng.random(len(eligible)) < probs]
+        if len(new_nodes):
+            activate(new_nodes, step)
+            count += len(new_nodes)
+            if params.drift > 0.0:
+                if not owned:
+                    degree, features, weights = degree.copy(), features.copy(), weights.copy()
+                    owned = True
+                for v in sorted(int(x) for x in new_nodes):
+                    new_x = drift_update(features[v], c, params.drift)
+                    features[v] = new_x
+                    row = slice(indptr[v], indptr[v + 1])
+                    nbrs = indices[row]
+                    new_w = np.clip((1.0 + features[nbrs] @ new_x) / 2.0, 0.0, 1.0)
+                    delta = new_w - weights[row]
+                    weights[row] = new_w
+                    weights[g.rev[row]] = new_w
+                    degree[v] += float(delta.sum())
+                    degree[nbrs] += delta
+                    wsum[nbrs] += delta
+                    for d in delta[active[nbrs]]:
+                        wsum[v] += d
+        stable = 0 if len(new_nodes) else stable + 1
+        new_per_step.append(len(new_nodes))
+    return (activation_time, np.array(new_per_step, dtype=np.int64), count, step,
+            stable < params.epsilon, draws)

@@ -10,7 +10,8 @@ from contagion.baselines import (
     run_lt,
 )
 from contagion.errors import InvalidParameter
-from tests.conftest import uniform_feature_graph
+from contagion.netgen import assign_edge_weights, make_unit_features
+from tests.conftest import raw_from_edges, uniform_feature_graph
 
 
 def star_graph(n_leaves=5):
@@ -79,6 +80,20 @@ def test_lt_theta_above_one_stalls(pa_graph_small):
     cfg = BaselineConfig(model=LT, lt_dist=CONSTANT, lt_theta=1.1)
     rec = run_lt(g, [3, 4], cfg, rng_seed=0)
     assert rec.final_spread == 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_lt_node_without_tie_mass_feels_no_influence():
+    # path 0-1-2 where node 2 is antipodal to node 1: its only weight is 0,
+    # so its influence is 0 (not 0/0), which theta = 0 still reaches
+    rows = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+    g = assign_edge_weights(raw_from_edges(3, [(0, 1), (1, 2)]), make_unit_features(rows))
+    assert g.weighted_degree[2] == 0.0
+    cfg = BaselineConfig(model=LT, lt_dist=CONSTANT, lt_theta=0.0)
+    rec = run_lt(g, [0], cfg, 0)
+    assert list(rec.activation_time) == [0, 1, 1]
+    cfg = BaselineConfig(model=LT, lt_dist=CONSTANT, lt_theta=0.5)
+    assert list(run_lt(g, [0], cfg, 0).activation_time) == [0, 1, -1]
 
 
 def test_lt_star_hub_seed():

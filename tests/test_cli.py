@@ -143,6 +143,81 @@ def test_config_non_numeric_value_exits_2(graph_file, tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value, contact", [
+    ("false", True), ("true", False), ("TRUE", False), (0, True), (1, False),
+    (False, True), (True, False), ("0", True),
+])
+def test_config_boolean_parses_strictly(graph_file, tmp_path, value, contact):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": str(graph_file), "spontaneous": value}))
+    out = tmp_path / "runs.jsonl"
+    assert run_cli("simulate", "--config", str(cfg), "--epsilon", "2", "--out", str(out)) == 0
+    assert json.loads(out.read_text().splitlines()[0])["params"]["require_contact"] is contact
+
+
+@pytest.mark.parametrize("value", ["maybe", "yes", 2, 0.5, [True]])
+def test_config_bad_boolean_exits_2(graph_file, tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": str(graph_file), "spontaneous": value}))
+    out = tmp_path / "runs.jsonl"
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 2
+    assert "error: spontaneous:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", ["", ",", "999", "-1", "0,0"])
+def test_simulate_rejects_bad_seed_list(graph_file, tmp_path, capsys, seeds):
+    out = tmp_path / "runs.jsonl"
+    code = run_cli("simulate", "--graph", str(graph_file), "--seeds", seeds, "--runs", "2",
+                   "--out", str(out))
+    assert code == 2
+    assert "error: seeds:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_simulate_manifest_counts_runs(graph_file, tmp_path, jobs):
+    out = tmp_path / "runs.jsonl"
+    assert run_cli("simulate", "--graph", str(graph_file), "--seeds", "0", "--runs", "6",
+                   "--seed", "4", "--max-steps", "12", "--jobs", jobs, "--out", str(out)) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    metrics = json.loads((tmp_path / "manifest.json").read_text())["metrics"]
+    assert set(metrics) == {"cascades", "steps", "draws", "hit_cap_runs"}
+    assert metrics["cascades"] == 6
+    assert metrics["steps"] == sum(r["converged_at"] for r in records)
+    assert metrics["hit_cap_runs"] == sum(r["hit_cap"] for r in records)
+    # runs this short never saturate, so every step draws at least once
+    assert metrics["draws"] >= metrics["steps"]
+    assert "draws" not in records[0]
+
+
+def test_experiment_manifest_counts_runs(tmp_path):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "graph": {"n": 80, "r": 2, "embed_dim": 5, "seed": 3},
+        "params": {"epsilon": 3, "max_steps": 20},
+        "runs_per_node": 2,
+        "node_selection": "sample:6",
+        "master_seed": 4,
+    }))
+    out_dir = tmp_path / "results"
+    assert run_cli("experiment", "--rq", "1", "--config", str(cfg), "--out-dir", str(out_dir)) == 0
+    metrics = json.loads((out_dir / "manifest.json").read_text())["metrics"]
+    assert metrics["cascades"] == 12
+    assert metrics["steps"] >= 12 and metrics["draws"] >= metrics["steps"]
+    assert 0 <= metrics["hit_cap_runs"] <= 12
+    header, _ = read_csv_table(out_dir / "rq1_summary.csv")
+    assert not set(metrics) & set(header)
+
+
+def test_netgen_manifest_reports_blas_threads(tmp_path):
+    path = tmp_path / "g.json"
+    assert run_cli("netgen", "--nodes", "60", "--embed-dim", "4", "--out", str(path)) == 0
+    threads = json.loads((tmp_path / "manifest.json").read_text())["metrics"]["blas_threads"]
+    assert isinstance(threads, dict)
+    assert all(isinstance(v, int) and v >= 1 for v in threads.values())
+
+
 def test_simulate_config_max_steps_string(graph_file, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"graph": str(graph_file), "max-steps": "50"}))
@@ -237,7 +312,7 @@ def test_experiment_rq4_needs_axis(tmp_path, capsys):
     assert code == 0
 
 
-def test_learn_and_eval_cli(tmp_path):
+def _learner_logs(tmp_path):
     trust = tmp_path / "trust.tsv"
     ratings = tmp_path / "ratings.tsv"
     lines = []
@@ -253,6 +328,25 @@ def test_learn_and_eval_cli(tmp_path):
         for t, u in enumerate(raters):
             rlines.append(f"{u}\tp{p}\t{t}")
     ratings.write_text("\n".join(rlines) + "\n")
+    return trust, ratings
+
+
+@pytest.mark.parametrize("value, code, augment", [("false", 0, False), ("1", 0, True),
+                                                  ("maybe", 2, None)])
+def test_learn_config_augment_parses_strictly(tmp_path, value, code, augment):
+    trust, ratings = _learner_logs(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"augment": value, "steps": 2}))
+    model = tmp_path / "model.json"
+    assert run_cli("learn", "--config", str(cfg), "--trust", str(trust), "--ratings",
+                   str(ratings), "--out", str(model)) == code
+    if code == 0:
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"]["augment"] is augment
+
+
+def test_learn_and_eval_cli(tmp_path):
+    trust, ratings = _learner_logs(tmp_path)
 
     model = tmp_path / "model.json"
     code = run_cli("learn", "--trust", str(trust), "--ratings", str(ratings),
