@@ -52,7 +52,7 @@ from .netgen import build_graph, load_graph, save_graph
 from .optimizer import BeamConfig, beam_search, build_candidate_pool
 from .plotting import render_hist_svg, render_line_svg
 from .rng import derive_seed
-from .updyn import Propagation, RunTally, SimParams, check_seeds, run_cascades
+from .updyn import Propagation, RunTally, SimParams, check_seeds, iter_cascades
 
 logger = logging.getLogger(__name__)
 
@@ -95,7 +95,9 @@ def blas_threads() -> dict:
 
     Dense eigendecompositions round differently with the thread count, so
     byte-identical graphs need the same BLAS library and thread count. Empty
-    where the loaded libraries cannot be listed (no /proc/self/maps).
+    where the loaded libraries cannot be listed (no /proc/self/maps); a
+    library that cannot be opened by its mapped path (replaced on disk, or a
+    path with spaces) is left out.
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -104,7 +106,12 @@ def blas_threads() -> dict:
         return {}
     out = {}
     for path in paths:
-        lib = ctypes.CDLL(path)
+        if not path.startswith("/"):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
         for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
                      "openblas_get_num_threads64_", "openblas_get_num_threads"):
             fn = getattr(lib, name, None)
@@ -245,7 +252,7 @@ def _read_prop_vector(path) -> np.ndarray:
 
 def _record_dicts(g, runs, params):
     tally = RunTally()
-    return [rec.to_dict() for rec in run_cascades(g, runs, params, tally)], tally
+    return [rec.to_dict() for rec in iter_cascades(g, runs, params, tally)], tally
 
 
 def _simulate_records(g, seeds, prop_mode, params, master_seed, n_runs, jobs, tally):

@@ -19,7 +19,7 @@ from .analytics import kendall_tau, spearman, ttv_from_new_per_step
 from .errors import ConfigError, InvalidParameter
 from .netgen import CORE, INTERMEDIATE, PERIPHERY, WeightedGraph, build_graph, diameter
 from .rng import derive_seed
-from .updyn import Propagation, RunTally, SimParams, run_cascades
+from .updyn import Propagation, RunTally, SimParams, iter_cascades
 from .updyn import run_cascade  # noqa: F401  re-exported
 
 logger = logging.getLogger(__name__)
@@ -190,9 +190,11 @@ def _summarize(rec, run_index, params, keep_series) -> RunSummary:
 
 
 def _summarize_tasks(g, tasks, params, keep_series):
+    # summarized as each batch comes back, so at most one batch of records
+    # (each with an n-length activation_time) is alive at a time
     tally = RunTally()
-    records = run_cascades(g, [(Propagation(vec=vec), [node], seed)
-                               for node, vec, _, seed in tasks], params, tally)
+    records = iter_cascades(g, [(Propagation(vec=vec), [node], seed)
+                                for node, vec, _, seed in tasks], params, tally)
     return [_summarize(rec, idx, params, keep_series)
             for (_, _, idx, _), rec in zip(tasks, records)], tally
 

@@ -378,7 +378,7 @@ def _eligible(rows: _Rows, p: SimParams):
 
 
 def _draw(rows: _Rows, p: SimParams, rngs, eligible: np.ndarray, counts: list):
-    """Bernoulli draws over the eligible cells of rows that all have some.
+    """Bernoulli draws over the eligible cells; a row may have none.
 
     Probabilities come from the pre-step state. Run r draws
     ``rngs[r].random(counts[r])`` for its eligible nodes in ascending order,
@@ -558,28 +558,39 @@ def run_cascades(g: WeightedGraph, runs, p: SimParams, tally: RunTally | None = 
 
     Each run gets its own generator, draws for its eligible nodes in
     ascending order and is credited by the same ordered scatter as when
-    stepped alone, so its record is bit-identical to a solo run. Runs are
-    advanced in batches of at most ``CHUNK_CELLS`` state cells. Records come
-    back in input order; ``tally``, when given, accumulates what they did.
+    stepped alone, so its record is bit-identical to a solo run. Records
+    come back in input order; ``tally``, when given, accumulates what they
+    did. See ``iter_cascades`` for a caller that keeps only a summary.
+    """
+    return list(iter_cascades(g, runs, p, tally))
+
+
+def iter_cascades(g: WeightedGraph, runs, p: SimParams, tally: RunTally | None = None):
+    """``run_cascades`` as an iterator: every run is checked before any
+    starts, then runs are advanced in batches of at most ``CHUNK_CELLS``
+    state cells and a batch's records are yielded, in input order, before
+    the next batch starts, so a caller that drops each record holds at most
+    one batch of them.
     """
     checked = []
     for c, seeds, rng_seed in runs:
         seeds = check_seeds(g, seeds)
         checked.append((_checked_propagation(g, c), seeds, int(rng_seed)))
-    runs = checked
     row_cells = 5 * g.n
     if p.drift > 0.0:
         row_cells += g.n * (1 + g.features.k) + len(g.raw.indices)
-    size = max(1, CHUNK_CELLS // row_cells)
-    records, draws = [], 0
+    return _batches(g, checked, p, max(1, CHUNK_CELLS // row_cells), tally)
+
+
+def _batches(g: WeightedGraph, runs, p: SimParams, size: int, tally: RunTally | None):
     for start in range(0, len(runs), size):
-        chunk_records, chunk_draws = _run_chunk(g, runs[start:start + size], p)
-        records += chunk_records
-        draws += chunk_draws
-    if tally is not None:
-        tally.add(RunTally(cascades=len(records), steps=sum(r.converged_at for r in records),
-                           draws=draws, hit_cap_runs=sum(r.hit_cap for r in records)))
-    return records
+        records, draws = _run_chunk(g, runs[start:start + size], p)
+        if tally is not None:
+            tally.add(RunTally(cascades=len(records),
+                               steps=sum(r.converged_at for r in records),
+                               draws=draws, hit_cap_runs=sum(r.hit_cap for r in records)))
+        yield from records
+        del records
 
 
 def _run_chunk(g: WeightedGraph, runs, p: SimParams):
@@ -600,8 +611,8 @@ def _run_chunk(g: WeightedGraph, runs, p: SimParams):
     records = [None] * R
     draws = t = 0
 
-    def retire(done, ends):
-        """Record the rows flagged in ``done``, converged at ``ends``; drop them."""
+    def retire(done):
+        """Record the rows flagged in ``done``, ended at step ``t``; drop them."""
         nonlocal rows, live, stable, rngs
         for r in (r for r, d in enumerate(done) if d):
             i = live[r]
@@ -614,7 +625,7 @@ def _run_chunk(g: WeightedGraph, runs, p: SimParams):
                 activation_time=rows.row("activation_time", r).copy(),
                 new_per_step=np.array(waves[i], dtype=np.int64),
                 final_spread=int(rows.active_count[r]),
-                converged_at=int(ends[r]),
+                converged_at=t,
                 hit_cap=stable[r] < p.epsilon,
                 model="up",
             )
@@ -627,21 +638,6 @@ def _run_chunk(g: WeightedGraph, runs, p: SimParams):
 
     while live:
         eligible, counts = _eligible(rows, p)
-        if 0 in counts:
-            # nothing can change in a run with no eligible node: the rest of
-            # its steps are cooling zeros, appended without stepping
-            idle = [k == 0 for k in counts]
-            ends = []
-            for r, k in enumerate(counts):
-                left = min(p.epsilon - stable[r], max_steps - t) if k == 0 else 0
-                waves[live[r]] += [0] * left
-                stable[r] += left
-                ends.append(t + left)
-            eligible -= n * np.cumsum(idle).repeat(counts)
-            counts = [k for k in counts if k]
-            retire(idle, ends)
-            if not live:
-                break
         t += 1
         draws += len(eligible)
         run, node, new = _draw(rows, p, rngs, eligible, counts)
@@ -660,7 +656,7 @@ def _run_chunk(g: WeightedGraph, runs, p: SimParams):
             waves[live[r]].append(k)
             stable[r] = 0 if k else stable[r] + 1
         if t >= max_steps or max(stable) >= p.epsilon:
-            retire([t >= max_steps or s >= p.epsilon for s in stable], [t] * len(stable))
+            retire([t >= max_steps or s >= p.epsilon for s in stable])
     return records, draws
 
 

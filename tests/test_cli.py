@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from contagion import cli
 from contagion.cli import dispatch, read_csv_table, write_csv
 from contagion.errors import InvalidParameter
 
@@ -216,6 +217,22 @@ def test_netgen_manifest_reports_blas_threads(tmp_path):
     threads = json.loads((tmp_path / "manifest.json").read_text())["metrics"]["blas_threads"]
     assert isinstance(threads, dict)
     assert all(isinstance(v, int) and v >= 1 for v in threads.values())
+
+
+def test_blas_threads_skips_libraries_it_cannot_open(monkeypatch, tmp_path):
+    # a library replaced on disk is mapped as "<path> (deleted)"; a missing
+    # path or a truncated one must be left out, not raise
+    maps = tmp_path / "maps"
+    maps.write_text(
+        "7f00-7f01 r-xp 0 08:01 1 /usr/lib/libopenblas.so.0 (deleted)\n"
+        f"7f01-7f02 r-xp 0 08:01 2 {tmp_path}/gone/libopenblas.so.0\n"
+    )
+    real_open = open
+    monkeypatch.setattr(cli, "open",
+                        lambda path, *a, **k: real_open(maps if path == "/proc/self/maps" else path,
+                                                        *a, **k),
+                        raising=False)
+    assert cli.blas_threads() == {}
 
 
 def test_simulate_config_max_steps_string(graph_file, tmp_path):

@@ -6,10 +6,12 @@ loop in ``tests/oracles.py`` under the same seed: the same generator
 stream, the same draw order and the same floating-point sums.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
-from contagion import updyn
+from contagion import experiments, updyn
 from contagion.experiments import run_batch
 from contagion.optimizer import estimate_spread
 from contagion.rng import derive_seed
@@ -17,6 +19,7 @@ from contagion.updyn import (
     Propagation,
     RunTally,
     SimParams,
+    iter_cascades,
     run_cascade,
     run_cascades,
     self_propagation,
@@ -113,9 +116,9 @@ def test_dead_and_viral_runs_share_a_batch(pa_graph_small):
 
 
 @pytest.mark.parametrize("require_contact", [True, False])
-def test_saturated_runs_skip_their_cooling_steps(pa_graph_small, require_contact):
-    # nothing is left to draw once every node is active; the cooling zeros
-    # are appended, up to the step cap
+def test_saturated_runs_step_through_their_cooling_zeros(pa_graph_small, require_contact):
+    # nothing is left to draw once every node is active; the run still
+    # steps, drawing nothing, until the cooling period or the step cap
     g = pa_graph_small
     everyone = list(range(g.n))
     c = self_propagation(g, 0)
@@ -161,6 +164,29 @@ def test_run_cascades_checks_every_run_first(pa_graph_small):
     with pytest.raises(updyn.InvalidParameter):
         run_cascades(g, [(c, [0], 1), ([1.0, 0.0], [1], 2)], SimParams())
     assert run_cascades(g, [], SimParams()) == []
+    with pytest.raises(updyn.InvalidParameter):
+        iter_cascades(g, [(c, [0], 1), (c, [g.n], 2)], SimParams())  # before any next()
+
+
+def test_run_batch_holds_one_batch_of_records(pa_graph_small, monkeypatch):
+    # run_batch summarizes each record as its batch comes back, so at most
+    # one batch of records (each with an n-length activation_time) is alive
+    g = pa_graph_small
+    monkeypatch.setattr(updyn, "CHUNK_CELLS", 20 * g.n)  # 4 rows
+    seen, most_alive = [], 0
+    summarize = experiments._summarize
+
+    def tracked(rec, *args):
+        nonlocal most_alive
+        seen.append(weakref.ref(rec))
+        most_alive = max(most_alive, sum(r() is not None for r in seen))
+        return summarize(rec, *args)
+
+    monkeypatch.setattr(experiments, "_summarize", tracked)
+    tasks = [(v, g.features.rows[v].copy(), 0, derive_seed(4, v)) for v in range(40)]
+    summaries = run_batch(g, tasks, SimParams(gamma=0.15, epsilon=3))
+    assert len(summaries) == len(seen) == 40
+    assert most_alive <= 4
 
 
 def test_run_batch_pool_keeps_order_and_tally(pa_graph_small):
