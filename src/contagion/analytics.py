@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import stats
@@ -83,9 +84,36 @@ def make_clique_scenario_graph(k: int, dot: float = 1.0):
     return graph, Propagation(vec=np.array([1.0, 0.0]))
 
 
+class RunOutcome(NamedTuple):
+    """What one cascade came to."""
+
+    viral: bool
+    time_to_virality: int | None
+    tipping: int | None
+
+
+def run_outcome(new_per_step, final_spread: int, n: int,
+                viral_fraction: float = 0.5) -> RunOutcome:
+    """The per-run rules behind every virality, time-to-virality and tipping
+    figure, in the experiment tables and the ``analyze`` report alike.
+
+    A run is viral when its final spread reaches ``viral_fraction * n``. Its
+    time to virality is the first step at which cumulative activations reach
+    that threshold (step 0 counts the seed set), None if they never do. Its
+    tipping step is the step of its largest adopter wave, earliest on ties,
+    None when nothing beyond the seed set ever activated.
+    """
+    waves = np.asarray(new_per_step)
+    return RunOutcome(
+        viral=final_spread >= viral_fraction * n,
+        time_to_virality=ttv_from_new_per_step(waves, n, viral_fraction),
+        tipping=int(np.argmax(waves)) if waves[1:].sum() else None,
+    )
+
+
 def detect_virality(rec: CascadeRecord, viral_fraction: float = 0.5) -> bool:
-    """True when the final spread reaches the configured network fraction."""
-    return rec.final_spread >= viral_fraction * rec.n
+    """Whether the run went viral, by the rule of ``run_outcome``."""
+    return run_outcome(rec.new_per_step, rec.final_spread, rec.n, viral_fraction).viral
 
 
 def ttv_from_new_per_step(new_per_step, n: int, viral_fraction: float = 0.5):
@@ -101,22 +129,53 @@ def time_to_virality(rec: CascadeRecord, viral_fraction: float = 0.5):
 
 
 def tipping_point(rec: CascadeRecord):
-    """Step of the largest adopter wave (earliest on ties).
-
-    None when nothing beyond the seed set ever activated, in which case no
-    spike exists.
-    """
-    waves = np.asarray(rec.new_per_step)
-    if waves[1:].sum() == 0:
-        return None
-    return int(np.argmax(waves))
+    """The run's tipping step, by the rule of ``run_outcome``."""
+    return run_outcome(rec.new_per_step, rec.final_spread, rec.n).tipping
 
 
-def spread_histogram(recs, bins):
-    """Histogram (counts, edges) of final spreads across records."""
-    spreads = np.array([r.final_spread for r in recs])
-    counts, edges = np.histogram(spreads, bins=bins)
-    return counts, edges
+def spread_histogram(spreads, n: int, bins: int = 20):
+    """Counts and edges of final spreads in ``bins`` equal bins over [0, n]."""
+    return np.histogram(np.asarray(spreads), bins=bins, range=(0, n))
+
+
+def _centre(values) -> dict:
+    return {
+        "count": len(values),
+        "mean": float(np.mean(values)) if values else None,
+        "median": float(np.median(values)) if values else None,
+    }
+
+
+def runs_report(records, degree) -> dict:
+    """Spread distribution, virality frequency, tipping and time-to-virality
+    figures of cascade records (``CascadeRecord.to_dict`` documents) on a
+    graph with the given node degrees, and the Spearman correlation of mean
+    seed degree with final spread (None where it is undefined)."""
+    n = len(degree)
+    spreads = np.array([r["final_spread"] for r in records])
+    outcomes = [run_outcome(r["new_per_step"], r["final_spread"], n,
+                            (r.get("params") or {}).get("viral_fraction", 0.5))
+                for r in records]
+    counts, edges = spread_histogram(spreads, n)
+    seed_degrees = [float(np.mean([degree[s] for s in r["seed_set"]])) for r in records]
+    try:
+        rho = spearman(seed_degrees, spreads)
+    except InvalidParameter:
+        rho = None
+    return {
+        "n_runs": len(records),
+        "n_nodes": n,
+        "spread_mean": float(spreads.mean()),
+        "spread_histogram": {
+            "edges": [float(e) for e in edges],
+            "counts": [int(c) for c in counts],
+        },
+        "virality_frequency": float(np.mean([o.viral for o in outcomes])),
+        "tipping": _centre([o.tipping for o in outcomes if o.tipping is not None]),
+        "time_to_virality": _centre([o.time_to_virality for o in outcomes
+                                     if o.time_to_virality is not None]),
+        "spearman_seed_degree_spread": rho,
+    }
 
 
 def spearman(xs, ys) -> float:

@@ -2,8 +2,8 @@
 
 Subcommands: netgen, simulate, baseline, analyze, experiment, learn,
 learn-eval, optimize, plot. A ``--config file.json`` supplies defaults that
-explicit flags override. Every command records a run manifest (resolved
-configuration, input digests, outputs, timing) in its output directory.
+explicit flags override. Every command records a run manifest (every key it
+resolved, input digests, outputs, timing) in its output directory.
 """
 
 from __future__ import annotations
@@ -17,12 +17,14 @@ import logging
 import os
 import sys
 import time
+from functools import partial, wraps
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .analytics import spearman, ttv_from_new_per_step
+from .analytics import runs_report
 from .baselines import BaselineConfig, run_ic, run_kcomplex, run_lt
 from .errors import ConfigError, InvalidParameter
 from .experiments import (
@@ -54,9 +56,6 @@ from .plotting import render_hist_svg, render_line_svg
 from .rng import derive_seed
 from .updyn import Propagation, RunTally, SimParams, check_seeds, iter_cascades
 
-logger = logging.getLogger(__name__)
-
-
 # ---------------------------------------------------------------------------
 # plumbing
 
@@ -67,27 +66,6 @@ def _sha256(path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def write_manifest(out_dir, command: str, config: dict, master_seed,
-                   inputs, outputs, started: float, metrics: dict | None = None) -> None:
-    doc = {
-        "tool": "contagion",
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "master_seed": master_seed,
-        "inputs": {str(p): _sha256(p) for p in inputs if p and os.path.exists(p)},
-        "outputs": [str(o) for o in outputs],
-        "duration_s": round(time.time() - started, 3),
-    }
-    if metrics is not None:
-        doc["metrics"] = metrics
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 def blas_threads() -> dict:
@@ -123,8 +101,6 @@ def blas_threads() -> dict:
 
 
 def write_csv(path, rows, columns=None) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     if columns is None:
         columns = list(rows[0].keys()) if rows else []
     with open(path, "w", newline="") as fh:
@@ -218,24 +194,117 @@ def _parse_seeds(text) -> list:
         raise InvalidParameter("seeds", f"could not parse seed list {text!r}")
 
 
-def _sim_params_from(args, config) -> SimParams:
+class Options:
+    """One command's settings and the files it reads.
+
+    ``get`` resolves a key as its flag, else the ``--config`` value, else the
+    default, and keeps the result for the manifest; ``path`` does the same
+    for an input file and records it among the inputs.
+    """
+
+    def __init__(self, args):
+        self.args = args
+        self.file = _load_config_file(args.config)
+        self.config = {}
+        self.inputs = [] if args.config is None else [args.config]
+
+    def get(self, key: str, default=None, kind=None):
+        self.config[key] = val = _merged(self.args, self.file, key, default, kind)
+        return val
+
+    def path(self, key: str, required: bool = True):
+        path = self.get(key)
+        if path is None:
+            if required:
+                raise InvalidParameter(key, f"--{key} is required")
+            return None
+        self.inputs.append(path)
+        return path
+
+
+class Done(NamedTuple):
+    """A command's result. ``outputs`` maps each output path to a JSON
+    document (dict), JSON lines (list), text (str) or a writer called with
+    the path; ``message`` is the line printed when everything is written."""
+
+    outputs: dict
+    message: str
+    metrics: dict | None = None
+
+
+def _write(path: Path, content) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if callable(content):
+        content(path)
+    elif isinstance(content, str):
+        path.write_text(content)
+    else:
+        with open(path, "w") as fh:
+            if isinstance(content, dict):
+                json.dump(content, fh, indent=2)
+                fh.write("\n")
+            else:
+                for row in content:
+                    fh.write(json.dumps(row))
+                    fh.write("\n")
+
+
+def command(work):
+    """Run ``work(opts) -> Done`` as a subcommand: time it, write its outputs
+    and then ``manifest.json`` beside the first one, and print its message."""
+
+    @wraps(work)
+    def run(args) -> int:
+        started = time.time()
+        opts = Options(args)
+        done = work(opts)
+        outputs = [Path(p) for p in done.outputs]
+        for path, content in zip(outputs, done.outputs.values()):
+            _write(path, content)
+        manifest = {
+            "tool": "contagion",
+            "version": __version__,
+            "command": args.command,
+            "config": opts.config,
+            "inputs": {str(p): _sha256(p) for p in opts.inputs},
+            "outputs": [str(p) for p in outputs],
+            "duration_s": round(time.time() - started, 3),
+        }
+        if done.metrics is not None:
+            manifest["metrics"] = done.metrics
+        _write(outputs[0].parent / "manifest.json", manifest)
+        print(done.message)
+        return 0
+
+    return run
+
+
+def _sim_params_from(opts) -> SimParams:
     return SimParams(
-        alpha=_merged(args, config, "alpha", 1.0 / 3.0, float),
-        beta=_merged(args, config, "beta", 1.0 / 3.0, float),
-        gamma=_merged(args, config, "gamma", 0.05, float),
-        epsilon=_merged(args, config, "epsilon", 10, int),
-        drift=_merged(args, config, "lambda", 0.0, float),
-        max_steps=_merged(args, config, "max-steps", None, int),
-        viral_fraction=_merged(args, config, "viral-fraction", 0.5, float),
-        require_contact=not _merged(args, config, "spontaneous", False, boolean),
+        alpha=opts.get("alpha", 1.0 / 3.0, float),
+        beta=opts.get("beta", 1.0 / 3.0, float),
+        gamma=opts.get("gamma", 0.05, float),
+        epsilon=opts.get("epsilon", 10, int),
+        drift=opts.get("lambda", 0.0, float),
+        max_steps=opts.get("max-steps", None, int),
+        viral_fraction=opts.get("viral-fraction", 0.5, float),
+        require_contact=not opts.get("spontaneous", False, boolean),
     )
 
 
-def _jobs_from(args, config) -> int:
-    val = _merged(args, config, "jobs", None, int)
+def _jobs_from(opts) -> int:
+    val = opts.get("jobs", None, int)
     if val is None:
         val = _typed("jobs", os.environ.get("CONTAGION_JOBS", 1), int)
-    return max(1, val)
+    opts.config["jobs"] = jobs = max(1, val)
+    return jobs
+
+
+def _run_count(opts) -> int:
+    n_runs = opts.get("runs", 1, int)
+    if n_runs < 1:
+        raise InvalidParameter("runs", f"need at least 1 run, got {n_runs}")
+    return n_runs
 
 
 def _read_prop_vector(path) -> np.ndarray:
@@ -250,12 +319,89 @@ def _read_prop_vector(path) -> np.ndarray:
     return Propagation.from_vector(doc["vector"]).vec
 
 
+def _counts(vals) -> bool:
+    """True for a non-empty list of non-negative integers."""
+    return (isinstance(vals, list) and len(vals) > 0
+            and all(type(v) is int and v >= 0 for v in vals))
+
+
+def _run_fault(rec, n: int):
+    """Why a runs-file record cannot be analyzed on an n-node graph, or None."""
+    if not isinstance(rec, dict):
+        return "expected a JSON object"
+    missing = [k for k in ("final_spread", "new_per_step", "seed_set", "activation_time")
+               if k not in rec]
+    if missing:
+        return f"missing {', '.join(missing)}"
+    seeds, params = rec["seed_set"], rec.get("params") or {}
+    viral_fraction = params.get("viral_fraction", 0.5) if isinstance(params, dict) else None
+    if not _counts([rec["final_spread"]]) or not _counts(rec["new_per_step"]):
+        return "final_spread and new_per_step must be counts"
+    if not _counts(seeds) or max(seeds) >= n:
+        return f"seed_set {seeds!r} is not a list of node ids in [0, {n})"
+    if not isinstance(rec["activation_time"], list) or len(rec["activation_time"]) != n:
+        return f"activation_time does not have one entry per node of the {n}-node graph"
+    if not isinstance(viral_fraction, (int, float)):
+        return "params.viral_fraction must be a number"
+    return None
+
+
+def _read_runs(path, n: int) -> list:
+    """Cascade records of a runs JSONL file; a line that is not a record of
+    a run on an n-node graph raises InvalidParameter naming it."""
+    records = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    rec = json.loads(line)
+                    fault = _run_fault(rec, n)
+                except json.JSONDecodeError as err:
+                    fault = f"not valid JSON ({err.msg})"
+                if fault:
+                    raise InvalidParameter("runs", f"{path}: line {lineno}: {fault}")
+                records.append(rec)
+    if not records:
+        raise InvalidParameter("runs", f"{path}: no records")
+    return records
+
+
 def _record_dicts(g, runs, params):
     tally = RunTally()
     return [rec.to_dict() for rec in iter_cascades(g, runs, params, tally)], tally
 
 
-def _simulate_records(g, seeds, prop_mode, params, master_seed, n_runs, jobs, tally):
+# ---------------------------------------------------------------------------
+# subcommands
+
+
+@command
+def cmd_netgen(opts) -> Done:
+    n = opts.get("nodes", 1000, int)
+    r = opts.get("attach", 2, int)
+    k = opts.get("embed-dim", 10, int)
+    seed = opts.get("seed", 0, int)
+    out = opts.get("out", "graph.json")
+    g = build_graph(n, r, k, seed)
+    feats = g.features
+    return Done({out: partial(save_graph, g)}, f"wrote {out}: n={n} edges={len(g.raw.edges)} k={k}",
+                metrics={"solver": feats.solver, "max_residual": feats.max_residual,
+                         "warnings": list(feats.warnings), "blas_threads": blas_threads()})
+
+
+@command
+def cmd_simulate(opts) -> Done:
+    graph_path = opts.path("graph")
+    out = opts.get("out", "runs.jsonl")
+    seeds = _parse_seeds(opts.get("seeds", "0"))
+    prop_mode = str(opts.get("prop", "self"))
+    n_runs = _run_count(opts)
+    master_seed = opts.get("seed", 0, int)
+    params = _sim_params_from(opts)
+    jobs = _jobs_from(opts)
+
+    g = load_graph(graph_path)
+    seeds = check_seeds(g, seeds)
     cosine = None
     if prop_mode == "self":
         vec = g.features.rows[seeds[0]].copy()
@@ -265,6 +411,7 @@ def _simulate_records(g, seeds, prop_mode, params, master_seed, n_runs, jobs, ta
         except ValueError:
             raise InvalidParameter("prop", f"bad affinity cosine in {prop_mode!r}")
     else:
+        opts.inputs.append(prop_mode)
         vec = _read_prop_vector(prop_mode)
     runs = []
     for i in range(n_runs):
@@ -272,212 +419,66 @@ def _simulate_records(g, seeds, prop_mode, params, master_seed, n_runs, jobs, ta
             rng = np.random.default_rng(derive_seed(master_seed, "dir", i))
             vec = misaligned_vector(g.features.rows[seeds[0]], cosine, rng)
         runs.append((Propagation(vec=vec), seeds, derive_seed(master_seed, "run", i)))
-    return pool_map(_record_dicts, g, runs, (params,), jobs, tally)
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-
-
-def cmd_netgen(args) -> int:
-    started = time.time()
-    config = _load_config_file(args.config)
-    n = _merged(args, config, "nodes", 1000, int)
-    r = _merged(args, config, "attach", 2, int)
-    k = _merged(args, config, "embed-dim", 10, int)
-    seed = _merged(args, config, "seed", 0, int)
-    out = _merged(args, config, "out", "graph.json")
-    g = build_graph(n, r, k, seed)
-    save_graph(g, out)
-    feats = g.features
-    write_manifest(Path(out).parent, "netgen",
-                   {"nodes": n, "attach": r, "embed_dim": k, "seed": seed, "out": str(out)},
-                   seed, [args.config], [out], started,
-                   metrics={"solver": feats.solver, "max_residual": feats.max_residual,
-                            "warnings": list(feats.warnings), "blas_threads": blas_threads()})
-    print(f"wrote {out}: n={n} edges={len(g.raw.edges)} k={k}")
-    return 0
-
-
-def cmd_simulate(args) -> int:
-    started = time.time()
-    config = _load_config_file(args.config)
-    graph_path = _merged(args, config, "graph", None)
-    if graph_path is None:
-        raise InvalidParameter("graph", "a graph file is required")
-    out = _merged(args, config, "out", "runs.jsonl")
-    seeds = _parse_seeds(_merged(args, config, "seeds", "0"))
-    prop_mode = str(_merged(args, config, "prop", "self"))
-    n_runs = _merged(args, config, "runs", 1, int)
-    master_seed = _merged(args, config, "seed", 0, int)
-    params = _sim_params_from(args, config)
-    jobs = _jobs_from(args, config)
-
-    g = load_graph(graph_path)
-    seeds = check_seeds(g, seeds)
     tally = RunTally()
-    records = _simulate_records(g, seeds, prop_mode, params, master_seed, n_runs, jobs, tally)
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec))
-            fh.write("\n")
-    write_manifest(Path(out).parent, "simulate",
-                   {"graph": str(graph_path), "seeds": seeds, "prop": prop_mode,
-                    "runs": n_runs, "params": params.to_dict(), "jobs": jobs,
-                    "out": str(out)},
-                   master_seed, [args.config, graph_path], [out], started,
-                   metrics=tally.to_dict())
-    spreads = [r["final_spread"] for r in records]
-    print(f"wrote {out}: {len(records)} runs, mean spread {np.mean(spreads):.1f}")
-    return 0
+    records = pool_map(_record_dicts, g, runs, (params,), jobs, tally)
+    mean = np.mean([r["final_spread"] for r in records])
+    return Done({out: records}, f"wrote {out}: {len(records)} runs, mean spread {mean:.1f}",
+                metrics=tally.to_dict())
 
 
-def cmd_baseline(args) -> int:
-    started = time.time()
-    config = _load_config_file(args.config)
-    graph_path = _merged(args, config, "graph", None)
-    if graph_path is None:
-        raise InvalidParameter("graph", "a graph file is required")
-    model = str(_merged(args, config, "model", None))
-    out = _merged(args, config, "out", "runs.jsonl")
-    seeds = _parse_seeds(_merged(args, config, "seeds", "0"))
-    n_runs = _merged(args, config, "runs", 1, int)
-    master_seed = _merged(args, config, "seed", 0, int)
-    p = _merged(args, config, "p", None, float)
-    theta = _merged(args, config, "theta", None, float)
-    k = _merged(args, config, "k", None, int)
+@command
+def cmd_baseline(opts) -> Done:
+    graph_path = opts.path("graph")
+    model = str(opts.get("model"))
+    out = opts.get("out", "runs.jsonl")
+    seeds = _parse_seeds(opts.get("seeds", "0"))
+    n_runs = _run_count(opts)
+    master_seed = opts.get("seed", 0, int)
+    p = opts.get("p", None, float)
+    theta = opts.get("theta", None, float)
+    k = opts.get("k", None, int)
     g = load_graph(graph_path)
 
-    records = []
-    for i in range(n_runs):
-        run_seed = derive_seed(master_seed, "run", i)
-        if model == "ic":
-            rec = run_ic(g, seeds, 0.1 if p is None else p, run_seed)
-        elif model == "lt":
-            if theta is None:
-                cfg = BaselineConfig(model="lt", lt_dist="uniform")
-            else:
-                cfg = BaselineConfig(model="lt", lt_dist="constant", lt_theta=theta)
-            rec = run_lt(g, seeds, cfg, run_seed)
-        elif model == "kcomplex":
-            rec = run_kcomplex(g, seeds, 2 if k is None else k)
-        else:
-            raise InvalidParameter("model", f"unknown baseline model {model!r}")
-        records.append(rec.to_dict())
-
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec))
-            fh.write("\n")
-    write_manifest(Path(out).parent, "baseline",
-                   {"graph": str(graph_path), "model": model, "p": p, "theta": theta,
-                    "k": k, "seeds": seeds, "runs": n_runs, "out": str(out)},
-                   master_seed, [args.config, graph_path], [out], started)
-    print(f"wrote {out}: {len(records)} {model} runs")
-    return 0
+    if theta is None:
+        lt_cfg = BaselineConfig(model="lt", lt_dist="uniform")
+    else:
+        lt_cfg = BaselineConfig(model="lt", lt_dist="constant", lt_theta=theta)
+    run = {"ic": lambda s: run_ic(g, seeds, 0.1 if p is None else p, s),
+           "lt": lambda s: run_lt(g, seeds, lt_cfg, s),
+           "kcomplex": lambda s: run_kcomplex(g, seeds, 2 if k is None else k)}.get(model)
+    if run is None:
+        raise InvalidParameter("model", f"unknown baseline model {model!r}")
+    records = [run(derive_seed(master_seed, "run", i)).to_dict() for i in range(n_runs)]
+    return Done({out: records}, f"wrote {out}: {len(records)} {model} runs",
+                metrics={"cascades": len(records),
+                         "steps": sum(r["converged_at"] for r in records),
+                         "hit_cap_runs": sum(r["hit_cap"] for r in records)})
 
 
-def cmd_analyze(args) -> int:
-    started = time.time()
-    config = _load_config_file(args.config)
-    runs_path = _merged(args, config, "runs", None)
-    graph_path = _merged(args, config, "graph", None)
-    report_path = _merged(args, config, "report", "report.json")
-    if runs_path is None or graph_path is None:
-        raise InvalidParameter("runs", "both --runs and --graph are required")
+@command
+def cmd_analyze(opts) -> Done:
+    runs_path = opts.path("runs")
+    graph_path = opts.path("graph")
+    report_path = opts.get("report", "report.json")
     g = load_graph(graph_path)
-
-    records = []
-    with open(runs_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    if not records:
-        raise InvalidParameter("runs", f"{runs_path}: no records")
-
-    n = g.n
-    spreads = np.array([r["final_spread"] for r in records])
-    viral_fracs = [
-        (r.get("params") or {}).get("viral_fraction", 0.5) for r in records
-    ]
-    viral = np.array([s >= vf * n for s, vf in zip(spreads, viral_fracs)])
-    counts, edges = np.histogram(spreads, bins=20, range=(0, n))
-
-    tippings = []
-    ttvs = []
-    for r, vf in zip(records, viral_fracs):
-        waves = np.array(r["new_per_step"])
-        if waves[1:].sum() > 0:
-            tippings.append(int(np.argmax(waves)))
-        ttv = ttv_from_new_per_step(waves, n, vf)
-        if ttv is not None:
-            ttvs.append(ttv)
-
-    seed_degrees = [float(np.mean([g.raw.degree[s] for s in r["seed_set"]])) for r in records]
-    try:
-        rho = spearman(seed_degrees, spreads)
-    except InvalidParameter:
-        rho = None
-
-    report = {
-        "n_runs": len(records),
-        "n_nodes": n,
-        "spread_mean": float(spreads.mean()),
-        "spread_histogram": {
-            "edges": [float(e) for e in edges],
-            "counts": [int(c) for c in counts],
-        },
-        "virality_frequency": float(viral.mean()),
-        "tipping": {
-            "count": len(tippings),
-            "mean": float(np.mean(tippings)) if tippings else None,
-            "median": float(np.median(tippings)) if tippings else None,
-        },
-        "time_to_virality": {
-            "count": len(ttvs),
-            "mean": float(np.mean(ttvs)) if ttvs else None,
-            "median": float(np.median(ttvs)) if ttvs else None,
-        },
-        "spearman_seed_degree_spread": rho,
-    }
-    Path(report_path).parent.mkdir(parents=True, exist_ok=True)
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    write_manifest(Path(report_path).parent, "analyze",
-                   {"runs": str(runs_path), "graph": str(graph_path),
-                    "report": str(report_path)},
-                   None, [args.config, runs_path, graph_path], [report_path], started)
-    print(f"wrote {report_path}: {len(records)} runs, virality {report['virality_frequency']:.3f}")
-    return 0
+    records = _read_runs(runs_path, g.n)
+    report = runs_report(records, g.raw.degree)
+    return Done({report_path: report}, f"wrote {report_path}: {len(records)} runs, "
+                                       f"virality {report['virality_frequency']:.3f}")
 
 
-def _experiment_outputs(rq: int, result: dict, out_dir: Path) -> list:
-    outputs = []
-    for table, rows in result.items():
-        path = out_dir / f"rq{rq}_{table}.csv"
-        write_csv(path, rows)
-        outputs.append(path)
-
-    def save_svg(name, text):
-        path = out_dir / name
-        path.write_text(text)
-        outputs.append(path)
-
+def _experiment_outputs(rq: int, result: dict, out_dir: Path) -> dict:
+    outputs = {out_dir / f"rq{rq}_{table}.csv": partial(write_csv, rows=rows)
+               for table, rows in result.items()}
     if rq == 1:
         spreads = [row["spread"] for row in result["runs"]]
-        save_svg("rq1_spread_hist.svg",
-                 render_hist_svg(spreads, bins=20, title="Final spread distribution",
-                                 x_label="final spread"))
+        outputs[out_dir / "rq1_spread_hist.svg"] = render_hist_svg(
+            spreads, bins=20, title="Final spread distribution", x_label="final spread")
         per_node = sorted(result["per_node"], key=lambda r: (r["degree"], r["node"]))
-        save_svg("rq1_degree_vs_spread.svg",
-                 render_line_svg([r["degree"] for r in per_node],
-                                 {"mean spread": [r["mean_spread"] for r in per_node]},
-                                 title="Seed degree vs mean spread",
-                                 x_label="seed degree", y_label="mean spread"))
+        outputs[out_dir / "rq1_degree_vs_spread.svg"] = render_line_svg(
+            [r["degree"] for r in per_node],
+            {"mean spread": [r["mean_spread"] for r in per_node]},
+            title="Seed degree vs mean spread", x_label="seed degree", y_label="mean spread")
     elif rq == 2 and result["series"]:
         steps = sorted({row["step"] for row in result["series"]})
         series = {}
@@ -490,63 +491,47 @@ def _experiment_outputs(rq: int, result: dict, out_dir: Path) -> list:
                 vals = [r["cumulative"] for r in seg_rows if r["step"] == t]
                 ys.append(float(np.mean(vals)) if vals else None)
             series[segment] = ys
-        save_svg("rq2_growth.svg",
-                 render_line_svg(steps, series, title="Cumulative adopters (viral runs)",
-                                 x_label="step", y_label="cumulative"))
+        outputs[out_dir / "rq2_growth.svg"] = render_line_svg(
+            steps, series, title="Cumulative adopters (viral runs)",
+            x_label="step", y_label="cumulative")
     elif rq == 3:
         per_size = result["per_size"]
-        save_svg("rq3_scaling.svg",
-                 render_line_svg([r["n"] for r in per_size],
-                                 {"time to virality": [r["mean_time_to_virality"] for r in per_size],
-                                  "diameter": [r["mean_diameter"] for r in per_size]},
-                                 title="Time to virality and diameter vs network size",
-                                 x_label="nodes"))
+        outputs[out_dir / "rq3_scaling.svg"] = render_line_svg(
+            [r["n"] for r in per_size],
+            {"time to virality": [r["mean_time_to_virality"] for r in per_size],
+             "diameter": [r["mean_diameter"] for r in per_size]},
+            title="Time to virality and diameter vs network size", x_label="nodes")
     elif rq in (4, 5):
         grid = result["grid"]
         xcol = "value" if rq == 4 else "cosine"
-        save_svg(f"rq{rq}_sweep.svg",
-                 render_line_svg([r[xcol] for r in grid],
-                                 {"virality frequency": [r["virality_frequency"] for r in grid],
-                                  "mean time to virality": [r["mean_time_to_virality"] for r in grid]},
-                                 title=f"RQ{rq} sweep", x_label=xcol))
+        outputs[out_dir / f"rq{rq}_sweep.svg"] = render_line_svg(
+            [r[xcol] for r in grid],
+            {"virality frequency": [r["virality_frequency"] for r in grid],
+             "mean time to virality": [r["mean_time_to_virality"] for r in grid]},
+            title=f"RQ{rq} sweep", x_label=xcol)
     return outputs
 
 
-def cmd_experiment(args) -> int:
-    started = time.time()
-    config_doc = _load_config_file(args.config)
-    cfg = ExperimentConfig.from_dict(config_doc) if config_doc else ExperimentConfig()
-    rq = int(args.rq)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+@command
+def cmd_experiment(opts) -> Done:
+    cfg = ExperimentConfig.from_dict(opts.file) if opts.file else ExperimentConfig()
+    opts.config.update(cfg.to_dict())
+    rq = opts.get("rq", None, int)
+    axis = opts.get("axis")
+    out_dir = Path(opts.get("out-dir"))
+    run = {1: rq1_spread_distribution, 2: rq2_growth_curves, 3: rq3_size_scaling,
+           4: partial(rq4_param_sweep, axis=axis), 5: rq5_affinity_sweep}[rq]
     tally = RunTally()
-    if rq == 1:
-        result = rq1_spread_distribution(cfg, tally=tally)
-    elif rq == 2:
-        result = rq2_growth_curves(cfg, tally=tally)
-    elif rq == 3:
-        result = rq3_size_scaling(cfg, tally=tally)
-    elif rq == 4:
-        result = rq4_param_sweep(cfg, args.axis, tally=tally)
-    elif rq == 5:
-        result = rq5_affinity_sweep(cfg, tally=tally)
-    else:
-        raise InvalidParameter("rq", f"unknown research question {rq}")
-
-    outputs = _experiment_outputs(rq, result, out_dir)
-    write_manifest(out_dir, f"experiment-rq{rq}", cfg.to_dict(), cfg.master_seed,
-                   [args.config], outputs, started, metrics=tally.to_dict())
-    print(f"wrote {len(outputs)} tables/plots to {out_dir}")
-    return 0
+    outputs = _experiment_outputs(rq, run(cfg, tally=tally), out_dir)
+    return Done(outputs, f"wrote {len(outputs)} tables/plots to {out_dir}",
+                metrics=tally.to_dict())
 
 
-def _learner_inputs(args, config):
-    trust_path = _merged(args, config, "trust", None)
-    ratings_path = _merged(args, config, "ratings", None)
-    if trust_path is None or ratings_path is None:
-        raise InvalidParameter("trust", "both --trust and --ratings are required")
-    graph_path = _merged(args, config, "graph", None)
+def _learner_inputs(opts):
+    """(host graph, traces, whether node ids are the graph's integers)."""
+    trust_path = opts.path("trust")
+    ratings_path = opts.path("ratings")
+    graph_path = opts.path("graph", required=False)
     trust = load_trust_tsv(trust_path)
     ratings = load_ratings_tsv(ratings_path)
     if graph_path is not None:
@@ -561,84 +546,58 @@ def _learner_inputs(args, config):
     traces = reconstruct_traces(trust, ratings)
     if not traces:
         raise InvalidParameter("ratings", "no usable cascade traces (need >= 2 raters per product)")
-    return host, traces, (trust_path, ratings_path, graph_path)
+    return host, traces, graph_path is not None
 
 
-def cmd_learn(args) -> int:
-    started = time.time()
-    config = _load_config_file(args.config)
-    host, traces, inputs = _learner_inputs(args, config)
-    form = str(_merged(args, config, "form", "sum"))
-    steps = _merged(args, config, "steps", 200, int)
-    lr = _merged(args, config, "lr", 0.01, float)
-    master_seed = _merged(args, config, "seed", 0, int)
-    augment = _merged(args, config, "augment", False, boolean)
-    out = _merged(args, config, "out", "model.json")
+@command
+def cmd_learn(opts) -> Done:
+    host, traces, _ = _learner_inputs(opts)
+    form = str(opts.get("form", "sum"))
+    steps = opts.get("steps", 200, int)
+    lr = opts.get("lr", 0.01, float)
+    master_seed = opts.get("seed", 0, int)
+    augment = opts.get("augment", False, boolean)
+    out = opts.get("out", "model.json")
 
     params = init_params(host, form, rng_seed=derive_seed(master_seed, "init"))
     result = fit(traces, host, params, steps=steps, lr=lr, augment=augment)
-    save_model(result.params, out)
-    write_manifest(Path(out).parent, "learn",
-                   {"trust": str(inputs[0]), "ratings": str(inputs[1]),
-                    "graph": None if inputs[2] is None else str(inputs[2]),
-                    "form": form, "steps": steps, "lr": lr, "augment": augment,
-                    "out": str(out)},
-                   master_seed, [args.config, *inputs], [out], started)
-    print(f"wrote {out}: {len(traces)} traces, loss {result.losses[0]:.3f} -> {result.losses[-1]:.3f}")
-    return 0
+    return Done({out: partial(save_model, result.params)}, f"wrote {out}: {len(traces)} traces, "
+                f"loss {result.losses[0]:.3f} -> {result.losses[-1]:.3f}")
 
 
-def cmd_learn_eval(args) -> int:
-    started = time.time()
-    config = _load_config_file(args.config)
-    model_path = _merged(args, config, "model", None)
-    if model_path is None:
-        raise InvalidParameter("model", "a fitted model file is required")
-    host, traces, inputs = _learner_inputs(args, config)
-    test_fraction = _merged(args, config, "test-fraction", 0.2, float)
-    split_seed = _merged(args, config, "split-seed", 0, int)
-    out = _merged(args, config, "out", "eval.json")
+@command
+def cmd_learn_eval(opts) -> Done:
+    model_path = opts.path("model")
+    host, traces, int_ids = _learner_inputs(opts)
+    test_fraction = opts.get("test-fraction", 0.2, float)
+    split_seed = opts.get("split-seed", 0, int)
+    out = opts.get("out", "eval.json")
 
-    params = load_model(model_path, int_ids=inputs[2] is not None)
+    params = load_model(model_path, int_ids=int_ids)
     train, test = split_traces(traces, test_fraction, rng_seed=split_seed)
     report = evaluate(train, test, host, params)
     if test:
         acc, majority, counts = activation_state_accuracy(test, host, params)
         report["test_pooled"] = {"accuracy": acc, "majority_baseline": majority, **counts}
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    write_manifest(Path(out).parent, "learn-eval",
-                   {"model": str(model_path), "trust": str(inputs[0]),
-                    "ratings": str(inputs[1]),
-                    "graph": None if inputs[2] is None else str(inputs[2]),
-                    "test_fraction": test_fraction, "split_seed": split_seed,
-                    "out": str(out)},
-                   split_seed, [args.config, model_path, *inputs], [out], started)
-    print(f"wrote {out}")
-    return 0
+    return Done({out: report}, f"wrote {out}")
 
 
-def cmd_optimize(args) -> int:
-    started = time.time()
-    config = _load_config_file(args.config)
-    graph_path = _merged(args, config, "graph", None)
-    if graph_path is None:
-        raise InvalidParameter("graph", "a graph file is required")
-    v = _merged(args, config, "seed-node", 0, int)
-    khop = _merged(args, config, "khop", 2, int)
-    width = _merged(args, config, "beam", 5, int)
-    rounds = _merged(args, config, "rounds", 5, int)
-    perturb = _merged(args, config, "perturb", 0.1, float)
-    sims = _merged(args, config, "sims", 200, int)
-    top_deg = _merged(args, config, "top-deg", 10, int)
-    core_targets = _merged(args, config, "core-targets", None, int)
-    master_seed = _merged(args, config, "seed", 0, int)
-    out = _merged(args, config, "out", "best.json")
+@command
+def cmd_optimize(opts) -> Done:
+    graph_path = opts.path("graph")
+    v = opts.get("seed-node", 0, int)
+    khop = opts.get("khop", 2, int)
+    width = opts.get("beam", 5, int)
+    rounds = opts.get("rounds", 5, int)
+    perturb = opts.get("perturb", 0.1, float)
+    sims = opts.get("sims", 200, int)
+    top_deg = opts.get("top-deg", 10, int)
+    core_targets = opts.get("core-targets", None, int)
+    master_seed = opts.get("seed", 0, int)
+    out = opts.get("out", "best.json")
 
     g = load_graph(graph_path)
-    params = _sim_params_from(args, config)
+    params = _sim_params_from(opts)
     pool = build_candidate_pool(g, v, khop, top_deg, core_targets=core_targets)
     cfg = BeamConfig(width=width, rounds=rounds, eps_perturb=perturb, sims=sims)
     result = beam_search(g, v, pool, cfg, params, master_seed)
@@ -652,29 +611,17 @@ def cmd_optimize(args) -> int:
         "evaluations": result.evaluations,
         "pool_size": len(pool),
     }
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    write_manifest(Path(out).parent, "optimize",
-                   {"graph": str(graph_path), "seed_node": v, "khop": khop,
-                    "beam": width, "rounds": rounds, "perturb": perturb,
-                    "sims": sims, "top_deg": top_deg, "core_targets": core_targets,
-                    "out": str(out)},
-                   master_seed, [args.config, graph_path], [out], started)
-    print(f"wrote {out}: estimated spread {result.best_score:.1f} +- {result.best_stderr:.1f}")
-    return 0
+    return Done({out: doc}, f"wrote {out}: estimated spread {result.best_score:.1f} "
+                            f"+- {result.best_stderr:.1f}",
+                metrics={"evaluations": result.evaluations, "pool_size": len(pool)})
 
 
-def cmd_plot(args) -> int:
-    started = time.time()
-    config = _load_config_file(args.config)
-    table = _merged(args, config, "table", None)
-    if table is None:
-        raise InvalidParameter("table", "an input CSV is required")
-    kind = str(_merged(args, config, "kind", "line"))
-    out = _merged(args, config, "out", "plot.svg")
-    bins = _merged(args, config, "bins", 10, int)
+@command
+def cmd_plot(opts) -> Done:
+    table = opts.path("table")
+    kind = str(opts.get("kind", "line"))
+    out = opts.get("out", "plot.svg")
+    bins = opts.get("bins", 10, int)
 
     header, rows = read_csv_table(table)
     if kind == "line":
@@ -689,13 +636,7 @@ def cmd_plot(args) -> int:
                               x_label=header[0] if header else "")
     else:
         raise InvalidParameter("kind", f"unknown plot kind {kind!r}")
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
-    Path(out).write_text(svg)
-    write_manifest(Path(out).parent, "plot",
-                   {"table": str(table), "kind": kind, "bins": bins, "out": str(out)},
-                   None, [args.config, table], [out], started)
-    print(f"wrote {out}")
-    return 0
+    return Done({out: svg}, f"wrote {out}")
 
 
 # ---------------------------------------------------------------------------
@@ -709,26 +650,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add(name, func, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON config supplying defaults (flags win)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("netgen", help="generate a weighted PA network")
-    add_common(p)
+    p = add("netgen", cmd_netgen, "generate a weighted PA network")
     p.add_argument("--nodes", type=int)
     p.add_argument("--attach", type=int)
     p.add_argument("--embed-dim", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_netgen)
 
-    p = sub.add_parser("simulate", help="run propagation cascades")
-    add_common(p)
+    p = add("simulate", cmd_simulate, "run propagation cascades")
     p.add_argument("--graph")
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--gamma", type=float)
     p.add_argument("--epsilon", type=int)
-    p.add_argument("--lambda", type=float, dest="lambda_", help="feature drift rate")
+    p.add_argument("--lambda", type=float, help="feature drift rate")
     p.add_argument("--max-steps", type=int)
     p.add_argument("--viral-fraction", type=float)
     p.add_argument("--spontaneous", action="store_const", const=True,
@@ -739,10 +680,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("baseline", help="run IC / LT / k-complex baselines")
-    add_common(p)
+    p = add("baseline", cmd_baseline, "run IC / LT / k-complex baselines")
     p.add_argument("--model", choices=["ic", "lt", "kcomplex"])
     p.add_argument("--graph")
     p.add_argument("--p", type=float, help="IC activation probability")
@@ -752,25 +691,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("analyze", help="summarize a batch of cascade records")
-    add_common(p)
+    p = add("analyze", cmd_analyze, "summarize a batch of cascade records")
     p.add_argument("--runs")
     p.add_argument("--graph")
     p.add_argument("--report")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("experiment", help="run an RQ experiment from a config")
-    add_common(p)
+    p = add("experiment", cmd_experiment, "run an RQ experiment from a config")
     p.add_argument("--rq", type=int, required=True, choices=[1, 2, 3, 4, 5])
     p.add_argument("--axis", choices=["alpha", "beta", "global"],
                    help="sweep axis for rq4")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("learn", help="fit the threshold model on cascade traces")
-    add_common(p)
+    p = add("learn", cmd_learn, "fit the threshold model on cascade traces")
     p.add_argument("--graph", help="optional host graph (integer node ids)")
     p.add_argument("--trust", help="TSV truster<TAB>trustee")
     p.add_argument("--ratings", help="TSV user<TAB>product<TAB>timestamp")
@@ -781,10 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add prefix subcascades to the training set")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_learn)
 
-    p = sub.add_parser("learn-eval", help="evaluate a fitted model")
-    add_common(p)
+    p = add("learn-eval", cmd_learn_eval, "evaluate a fitted model")
     p.add_argument("--model")
     p.add_argument("--graph")
     p.add_argument("--trust")
@@ -792,10 +723,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-fraction", type=float)
     p.add_argument("--split-seed", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_learn_eval)
 
-    p = sub.add_parser("optimize", help="search for a spread-maximizing vector")
-    add_common(p)
+    p = add("optimize", cmd_optimize, "search for a spread-maximizing vector")
     p.add_argument("--graph")
     p.add_argument("--seed-node", type=int)
     p.add_argument("--khop", type=int)
@@ -811,15 +740,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("plot", help="render a CSV table to SVG")
-    add_common(p)
+    p = add("plot", cmd_plot, "render a CSV table to SVG")
     p.add_argument("--table")
     p.add_argument("--kind", choices=["line", "hist"])
     p.add_argument("--bins", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_plot)
 
     return parser
 
@@ -831,9 +757,6 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as ex:
         return int(ex.code or 0)
-    # argparse stores --lambda under lambda_; normalize for _merged lookups
-    if hasattr(args, "lambda_"):
-        setattr(args, "lambda", args.lambda_)
     try:
         return args.func(args)
     except (InvalidParameter, ConfigError) as err:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .analytics import kendall_tau, spearman, ttv_from_new_per_step
+from .analytics import kendall_tau, run_outcome, spearman, spread_histogram
 from .errors import ConfigError, InvalidParameter
 from .netgen import CORE, INTERMEDIATE, PERIPHERY, WeightedGraph, build_graph, diameter
 from .rng import derive_seed
@@ -27,12 +27,24 @@ logger = logging.getLogger(__name__)
 DEFAULT_SIZES = (250, 500, 1000, 2000, 4000)
 
 
+def _check_ints(spec, where: str = "") -> None:
+    """ConfigError unless each ``int`` field of the dataclass holds an integer."""
+    for f in fields(spec):
+        val = getattr(spec, f.name)
+        if f.type in ("int", int) and (isinstance(val, bool)
+                                       or not isinstance(val, (int, np.integer))):
+            raise ConfigError(f"{where}{f.name}: expected an integer, got {val!r}")
+
+
 @dataclass(frozen=True)
 class GraphSpec:
     n: int = 1000
     r: int = 2
     embed_dim: int = 10
     seed: int = 0
+
+    def __post_init__(self):
+        _check_ints(self, "graph: ")
 
     def to_dict(self) -> dict:
         return {"n": self.n, "r": self.r, "embed_dim": self.embed_dim, "seed": self.seed}
@@ -53,6 +65,7 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        _check_ints(self)
         if self.runs_per_node < 1:
             raise ConfigError("runs_per_node must be >= 1")
         _parse_selection(self.node_selection)
@@ -172,20 +185,18 @@ def pool_map(fn, g: WeightedGraph, items, args=(), jobs: int = 1,
 
 
 def _summarize(rec, run_index, params, keep_series) -> RunSummary:
-    waves = rec.new_per_step
-    n = rec.n
-    ttv = ttv_from_new_per_step(waves, n, params.viral_fraction)
-    tipping = int(np.argmax(waves)) if waves[1:].sum() else None
+    viral, ttv, tipping = run_outcome(rec.new_per_step, rec.final_spread, rec.n,
+                                      params.viral_fraction)
     return RunSummary(
         node=int(rec.seed_set[0]),
         run_index=int(run_index),
         spread=rec.final_spread,
-        viral=rec.final_spread >= params.viral_fraction * n,
+        viral=viral,
         time_to_virality=ttv,
         tipping=tipping,
         converged_at=rec.converged_at,
         hit_cap=rec.hit_cap,
-        new_per_step=tuple(int(x) for x in waves) if keep_series else None,
+        new_per_step=tuple(int(x) for x in rec.new_per_step) if keep_series else None,
     )
 
 
@@ -258,7 +269,7 @@ def rq1_spread_distribution(cfg: ExperimentConfig, g: WeightedGraph | None = Non
         })
 
     spreads = np.array([s.spread for s in summaries])
-    counts, edges = np.histogram(spreads, bins=20, range=(0, g.n))
+    counts, edges = spread_histogram(spreads, g.n)
     hist_rows = [
         {"bin_lo": float(edges[i]), "bin_hi": float(edges[i + 1]), "count": int(c)}
         for i, c in enumerate(counts)

@@ -116,10 +116,12 @@ def test_time_to_virality():
 
 
 def test_spread_histogram():
-    recs = [make_record([1, s]) for s in (10, 12, 400)]
-    counts, edges = spread_histogram(recs, bins=2)
+    recs = [make_record([1, s]) for s in (10, 12, 600)]
+    counts, edges = spread_histogram([r.final_spread for r in recs], 1000, bins=2)
     assert counts.tolist() == [2, 1]
-    assert counts.sum() == 3
+    assert edges.tolist() == [0.0, 500.0, 1000.0]
+    counts, edges = spread_histogram([0, 1000], 1000)
+    assert len(counts) == 20 and counts[0] == counts[-1] == 1
 
 
 def test_spearman_basics():

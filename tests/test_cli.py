@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -448,3 +449,180 @@ def test_missing_file_is_clean_error(tmp_path, capsys):
                    "--seeds", "0", "--runs", "1", "--out", str(tmp_path / "o.jsonl"))
     assert code != 0
     assert "nope.json" in capsys.readouterr().err
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(graph_file, tmp_path_factory):
+    """One input file of each kind the commands read."""
+    d = tmp_path_factory.mktemp("inputs")
+    trust, ratings = _learner_logs(d)
+    files = {"graph": graph_file, "trust": trust, "ratings": ratings,
+             "runs": d / "runs.jsonl", "model": d / "model.json", "table": d / "t.csv",
+             "vec": d / "vec.json"}
+    files["vec"].write_text(json.dumps({"vector": [1.0, 0, 0, 0, 0, 0]}))
+    write_csv(files["table"], [{"x": 0, "y": 1.0}, {"x": 1, "y": 3.0}], ["x", "y"])
+    assert run_cli("simulate", "--graph", str(graph_file), "--runs", "3", "--epsilon", "3",
+                   "--out", str(files["runs"])) == 0
+    assert run_cli("learn", "--trust", str(trust), "--ratings", str(ratings), "--steps", "3",
+                   "--out", str(files["model"])) == 0
+    return files
+
+
+SIM_KEYS = {"alpha", "beta", "gamma", "epsilon", "lambda", "max-steps", "viral-fraction",
+            "spontaneous"}
+
+# command -> (flags, --config document or None, inputs read, keys resolved,
+# resolved values to check); "{graph}" etc. name a cli_inputs file
+MANIFEST_CASES = {
+    "netgen": (["--nodes", "40", "--embed-dim", "4", "--out", "{out}/g.json"], {"attach": 3},
+               [], {"nodes", "attach", "embed-dim", "seed", "out"},
+               {"nodes": 40, "attach": 3, "seed": 0}),
+    "simulate": (["--graph", "{graph}", "--prop", "{vec}", "--seeds", "1", "--runs", "2",
+                  "--out", "{out}/runs.jsonl"], {"epsilon": 3},
+                 ["graph", "vec"],
+                 {"graph", "out", "seeds", "prop", "runs", "seed", "jobs"} | SIM_KEYS,
+                 {"epsilon": 3, "runs": 2, "gamma": 0.05, "jobs": 1}),
+    "baseline": (["--model", "lt", "--graph", "{graph}", "--theta", "0.4", "--runs", "2",
+                  "--out", "{out}/lt.jsonl"], None,
+                 ["graph"], {"graph", "model", "out", "seeds", "runs", "seed", "p", "theta", "k"},
+                 {"model": "lt", "theta": 0.4, "p": None}),
+    "analyze": (["--runs", "{runs}", "--graph", "{graph}", "--report", "{out}/report.json"], None,
+                ["runs", "graph"], {"runs", "graph", "report"}, {}),
+    "experiment": (["--rq", "1", "--out-dir", "{out}"],
+                   {"graph": {"n": 40, "r": 2, "embed_dim": 4, "seed": 1}, "runs_per_node": 1,
+                    "node_selection": "sample:3", "params": {"epsilon": 2}},
+                   [], {"rq", "axis", "out-dir", "graph", "params", "runs_per_node",
+                        "node_selection", "master_seed", "jobs"},
+                   {"rq": 1, "runs_per_node": 1, "master_seed": 0}),
+    "learn": (["--trust", "{trust}", "--ratings", "{ratings}", "--steps", "2",
+               "--out", "{out}/model.json"], None,
+              ["trust", "ratings"], {"trust", "ratings", "graph", "form", "steps", "lr", "seed",
+                                     "augment", "out"},
+              {"steps": 2, "form": "sum", "augment": False, "graph": None}),
+    "learn-eval": (["--model", "{model}", "--trust", "{trust}", "--ratings", "{ratings}",
+                    "--out", "{out}/eval.json"], None,
+                   ["model", "trust", "ratings"],
+                   {"model", "trust", "ratings", "graph", "test-fraction", "split-seed", "out"},
+                   {"test-fraction": 0.2, "split-seed": 0}),
+    "optimize": (["--graph", "{graph}", "--seed-node", "50", "--khop", "1", "--beam", "2",
+                  "--rounds", "1", "--sims", "4", "--top-deg", "2", "--gamma", "0.2",
+                  "--out", "{out}/best.json"], {"max-steps": 30},
+                 ["graph"], {"graph", "seed-node", "khop", "beam", "rounds", "perturb", "sims",
+                             "top-deg", "core-targets", "seed", "out"} | SIM_KEYS,
+                 {"gamma": 0.2, "max-steps": 30, "alpha": 1.0 / 3.0}),
+    "plot": (["--table", "{table}", "--out", "{out}/t.svg"], {"kind": "hist", "bins": 3},
+             ["table"], {"table", "kind", "out", "bins"}, {"kind": "hist", "bins": 3}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_CASES))
+def test_manifest_records_config_inputs_outputs(cli_inputs, tmp_path, command):
+    flags, config, read, keys, values = MANIFEST_CASES[command]
+    out_dir = tmp_path / "out"
+    names = {k: str(v) for k, v in cli_inputs.items()}
+    argv = [command] + [f.format(out=out_dir, **names) for f in flags]
+    inputs = [cli_inputs[k] for k in read]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+        inputs.append(cfg)
+    assert run_cli(*argv) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["command"] == command
+    written = [p for p in out_dir.iterdir() if p.name != "manifest.json"]
+    assert written and sorted(manifest["outputs"]) == sorted(str(p) for p in written)
+    assert isinstance(manifest["duration_s"], float) and manifest["duration_s"] >= 0
+    assert manifest["inputs"] == {str(p): _sha256(p) for p in inputs}
+    assert keys <= set(manifest["config"])
+    assert {k: manifest["config"][k] for k in values} == values
+
+
+def test_netgen_creates_output_directory(tmp_path):
+    out = tmp_path / "new" / "deeper" / "graph.json"
+    assert run_cli("netgen", "--nodes", "30", "--embed-dim", "3", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["n"] == 30
+    assert (out.parent / "manifest.json").exists()
+
+
+def test_optimize_manifest_counts_evaluations(graph_file, tmp_path):
+    out = tmp_path / "best.json"
+    assert run_cli("optimize", "--graph", str(graph_file), "--seed-node", "50", "--khop", "1",
+                   "--beam", "2", "--rounds", "1", "--sims", "4", "--top-deg", "2",
+                   "--epsilon", "3", "--out", str(out)) == 0
+    best = json.loads(out.read_text())
+    assert json.loads((tmp_path / "manifest.json").read_text())["metrics"] == {
+        "evaluations": best["evaluations"], "pool_size": best["pool_size"]}
+
+
+@pytest.mark.parametrize("model", ["ic", "lt", "kcomplex"])
+def test_baseline_manifest_counts_runs(graph_file, tmp_path, model):
+    out = tmp_path / "runs.jsonl"
+    assert run_cli("baseline", "--model", model, "--graph", str(graph_file), "--seeds", "0,1",
+                   "--runs", "4", "--seed", "3", "--out", str(out)) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert json.loads((tmp_path / "manifest.json").read_text())["metrics"] == {
+        "cascades": 4,
+        "steps": sum(r["converged_at"] for r in records),
+        "hit_cap_runs": sum(r["hit_cap"] for r in records),
+    }
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--runs", "0"],
+                                  ["baseline", "--model", "ic", "--runs", "-3"]])
+def test_run_count_below_one_exits_2(graph_file, tmp_path, capsys, argv):
+    out = tmp_path / "runs.jsonl"
+    assert run_cli(*argv, "--graph", str(graph_file), "--out", str(out)) == 2
+    assert "error: runs:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def runs_60(tmp_path_factory):
+    """Runs simulated on a 60-node graph, with that graph and an 80-node one."""
+    d = tmp_path_factory.mktemp("runs60")
+    for n in (60, 80):
+        assert run_cli("netgen", "--nodes", str(n), "--embed-dim", "4", "--seed", "1",
+                       "--out", str(d / f"g{n}.json")) == 0
+    assert run_cli("simulate", "--graph", str(d / "g60.json"), "--runs", "3", "--epsilon", "3",
+                   "--out", str(d / "runs.jsonl")) == 0
+    return d
+
+
+@pytest.mark.parametrize("graph, edit, says", [
+    pytest.param("g60", lambda line: line[:40], "not valid JSON", id="truncated-line"),
+    pytest.param("g60", lambda line: json.dumps({k: v for k, v in json.loads(line).items()
+                                                 if k != "final_spread"}),
+                 "missing final_spread", id="no-final-spread"),
+    pytest.param("g60", lambda line: json.dumps({**json.loads(line), "seed_set": [999]}),
+                 "seed_set [999]", id="seed-outside-graph"),
+    pytest.param("g80", lambda line: line, "80-node graph", id="other-graph"),
+])
+def test_analyze_rejects_runs_it_cannot_read(runs_60, tmp_path, capsys, graph, edit, says):
+    lines = (runs_60 / "runs.jsonl").read_text().splitlines()
+    lines[1] = edit(lines[1])
+    runs = tmp_path / "runs.jsonl"
+    runs.write_text("\n".join(lines) + "\n")
+    report = tmp_path / "report.json"
+    assert run_cli("analyze", "--runs", str(runs), "--graph", str(runs_60 / f"{graph}.json"),
+                   "--report", str(report)) == 2
+    err = capsys.readouterr().err
+    assert f"error: runs: {runs}: line {1 if graph == 'g80' else 2}:" in err
+    assert says in err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("doc, key", [({"graph": {"n": "60"}}, "graph: n"),
+                                      ({"jobs": "x"}, "jobs"),
+                                      ({"runs_per_node": 1.5}, "runs_per_node")])
+def test_experiment_config_integer_fields_exit_2(tmp_path, capsys, doc, key):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli("experiment", "--rq", "1", "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "r")) == 2
+    assert f"error: {key}: expected an integer" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()

@@ -8,11 +8,13 @@ forbids unless a change says so explicitly.
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from contagion.baselines import BaselineConfig, run_ic, run_kcomplex, run_lt
+from contagion.cli import dispatch
 from contagion.netgen import build_graph, load_graph, save_graph
 from contagion.optimizer import DpConfig, default_codebook, dp_policy
 from contagion.updyn import SimParams, run_cascade, self_propagation
@@ -126,3 +128,74 @@ def test_save_load_roundtrip_bytes(tmp_path, pa_graph_small):
         g.raw.edges, g.edge_weights, g.weighted_degree, g.features.rows, g.segments
     )
     assert digest == EXPECTED["roundtrip.arrays"]
+
+
+# Every non-manifest file the CLI writes for one small pipeline (n = 80):
+# netgen -> simulate -> analyze, an IC baseline, optimize, experiment --rq 1
+# and a plot of its histogram table. Keys are paths under the work directory.
+CLI_OUTPUTS = {
+    "an/report.json":
+        "b7cef98b1c3311d2539cf3797ee16db4e4ff3ad7950b0d24017b6ec63b0e665f",
+    "exp/rq1_degree_vs_spread.svg":
+        "a02fd6024c5fa399a61ee5a7d0456bdd2db5bc41b48285b9125939f942103518",
+    "exp/rq1_histogram.csv":
+        "21eec8369a219fa653895cad87fadbd75e9abde1efe319b9da9ffed83e2bbe0b",
+    "exp/rq1_per_node.csv":
+        "d3e59715175a0badb4240fcc3c56c3f840d1039169911795ae755727e8eddccd",
+    "exp/rq1_runs.csv":
+        "736e384901ba998b9de480aa63a152f527a5604e59996bc89620c2a08ee7c1eb",
+    "exp/rq1_spread_hist.svg":
+        "a9e56e668397fe9ecfbab822e37f0f3289d44dd4f0d85263e2b2b2d304beb62e",
+    "exp/rq1_summary.csv":
+        "9043cd721803608a0ace4511c4e8dd62f8146156c39718774b55429611186582",
+    "ic/runs.jsonl":
+        "daaef15d8359d9d3cc0d6b94d585b1e1bf6020331dd08efbfc7a4dc53ea785d2",
+    "net/graph.json":
+        "4ddfb757a33f635973cc1f6289b91093507195f078ed62f62275a99aa6a8cca3",
+    "opt/best.json":
+        "a40165c7fd11366e3984a89c4d0159c88c30789881c1ed177ea16db3c66686a4",
+    "plot/hist.svg":
+        "2e5113365e69138219e30be25319ca6d7c400965d1b3fb6b445b44d19f0cd30e",
+    "sim/runs.jsonl":
+        "f444133a1d30a457e60ae1720a241c415ee21e9eb8341294c14be8729dbdad1d",
+}
+
+
+def _cli_pipeline(root):
+    graph = root / "net" / "graph.json"
+    runs = root / "sim" / "runs.jsonl"
+    exp_cfg = root / "exp.json"
+    exp_cfg.write_text(json.dumps({
+        "graph": {"n": 80, "r": 2, "embed_dim": 5, "seed": 3},
+        "params": {"gamma": 0.2, "epsilon": 3},
+        "runs_per_node": 2,
+        "node_selection": "sample:6",
+        "master_seed": 4,
+    }))
+    commands = [
+        ["netgen", "--nodes", "80", "--attach", "2", "--embed-dim", "5", "--seed", "7",
+         "--out", graph],
+        ["simulate", "--graph", graph, "--seeds", "0,4", "--prop", "self", "--runs", "12",
+         "--seed", "3", "--gamma", "0.08", "--epsilon", "4", "--lambda", "0.2", "--out", runs],
+        ["analyze", "--runs", runs, "--graph", graph, "--report", root / "an" / "report.json"],
+        ["baseline", "--model", "ic", "--graph", graph, "--p", "0.3", "--seeds", "0",
+         "--runs", "6", "--seed", "5", "--out", root / "ic" / "runs.jsonl"],
+        ["optimize", "--graph", graph, "--seed-node", "60", "--khop", "1", "--beam", "2",
+         "--rounds", "1", "--sims", "8", "--top-deg", "3", "--core-targets", "1",
+         "--gamma", "0.2", "--epsilon", "3", "--seed", "2", "--out", root / "opt" / "best.json"],
+        ["experiment", "--rq", "1", "--config", exp_cfg, "--out-dir", root / "exp"],
+        ["plot", "--table", root / "exp" / "rq1_histogram.csv", "--kind", "line",
+         "--out", root / "plot" / "hist.svg"],
+    ]
+    graph.parent.mkdir()
+    for argv in commands:
+        assert dispatch([str(a) for a in argv]) == 0, argv[0]
+    return {
+        str(p.relative_to(root)): _sha(p.read_bytes())
+        for p in sorted(root.rglob("*"))
+        if p.is_file() and p.name != "manifest.json" and p != exp_cfg
+    }
+
+
+def test_cli_output_bytes(tmp_path):
+    assert _cli_pipeline(tmp_path) == CLI_OUTPUTS
