@@ -10,6 +10,7 @@ grid values by reusing the same derived seeds.
 from __future__ import annotations
 
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -19,7 +20,7 @@ from .analytics import kendall_tau, run_outcome, spearman, spread_histogram
 from .errors import ConfigError, InvalidParameter
 from .netgen import CORE, INTERMEDIATE, PERIPHERY, WeightedGraph, build_graph, diameter
 from .rng import derive_seed
-from .updyn import Propagation, RunTally, SimParams, iter_cascades
+from .updyn import Propagation, RunTally, SimParams, _is_int, iter_cascades
 from .updyn import run_cascade  # noqa: F401  re-exported
 
 logger = logging.getLogger(__name__)
@@ -31,8 +32,7 @@ def _check_ints(spec, where: str = "") -> None:
     """ConfigError unless each ``int`` field of the dataclass holds an integer."""
     for f in fields(spec):
         val = getattr(spec, f.name)
-        if f.type in ("int", int) and (isinstance(val, bool)
-                                       or not isinstance(val, (int, np.integer))):
+        if f.type in ("int", int) and not _is_int(val):
             raise ConfigError(f"{where}{f.name}: expected an integer, got {val!r}")
 
 
@@ -68,6 +68,8 @@ class ExperimentConfig:
         _check_ints(self)
         if self.runs_per_node < 1:
             raise ConfigError("runs_per_node must be >= 1")
+        if not isinstance(self.node_selection, str):
+            raise ConfigError(f"node_selection: expected a string, got {self.node_selection!r}")
         _parse_selection(self.node_selection)
         if self.sweep_axis is not None and self.sweep_axis not in (
             "alpha", "beta", "global", "seed_affinity", "network_size"
@@ -103,6 +105,10 @@ class ExperimentConfig:
             raise ConfigError(f"params: {err}")
         sweep = doc.pop("sweep_values", None)
         if sweep is not None:
+            if not isinstance(sweep, list) or not all(
+                    isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+                    for x in sweep):
+                raise ConfigError(f"sweep_values: expected a list of finite numbers, got {sweep!r}")
             sweep = tuple(sweep)
         try:
             return cls(graph=graph, params=params, sweep_values=sweep, **doc)

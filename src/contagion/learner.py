@@ -474,15 +474,24 @@ def save_model(params: ThresholdModelParams, path) -> None:
 
 
 def load_model(path, int_ids: bool = False) -> ThresholdModelParams:
-    with open(path) as fh:
-        doc = json.load(fh)
+    """Read a model written by ``save_model``; InvalidParameter naming the
+    file when it holds anything else."""
     cast = int if int_ids else str
-    return ThresholdModelParams(
-        aggregation=doc["aggregation"],
-        influence={(cast(src), cast(dst)): float(w) for src, dst, w in doc["I"]},
-        bias={cast(v): float(b) for v, b in doc["b"]},
-        upper=math.inf if doc.get("upper") is None else float(doc["upper"]),
-    )
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if doc["aggregation"] not in (SUM, MEAN):
+            raise ValueError(f"unknown aggregation {doc['aggregation']!r}")
+        return ThresholdModelParams(
+            aggregation=doc["aggregation"],
+            influence={(cast(src), cast(dst)): float(w) for src, dst, w in doc["I"]},
+            bias={cast(v): float(b) for v, b in doc["b"]},
+            upper=math.inf if doc.get("upper") is None else float(doc["upper"]),
+        )
+    except KeyError as err:
+        raise InvalidParameter("model", f"{path}: missing key {err}") from None
+    except (TypeError, ValueError) as err:
+        raise InvalidParameter("model", f"{path}: {err}") from None
 
 
 def load_trust_tsv(path) -> list:

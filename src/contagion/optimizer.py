@@ -22,7 +22,8 @@ import numpy as np
 from .errors import InvalidParameter
 from .netgen import CORE, WeightedGraph
 from .rng import derive_seed
-from .updyn import Propagation, SimParams, run_cascades
+from .updyn import (Propagation, SimParams, _activate_rows, _draw, _eligible, _fresh_rows,
+                    run_cascades)
 
 logger = logging.getLogger(__name__)
 
@@ -293,23 +294,23 @@ def _majority_segment(g: WeightedGraph, nodes) -> int:
     return SEGMENT_ORDER.index(best)
 
 
-def _probe_one_step(g, state_nodes, times, vec, params, seed):
-    """Clone a cascade state from its activation history and advance one step."""
-    from .updyn import _activate, init_state, step
+def _probe_one_step(g, nodes, times, props, params, seeds):
+    """Draw one step from a visited state under each propagation, row r' of
+    one lockstep state under ``seeds[r']``; returns each row's gain and the
+    majority segment of its new nodes (None when it gains none).
 
-    # rebuild: activate historical nodes in time order (a stable sort keeps
-    # the listed order within a step, so the sums match a step-by-step replay)
-    order = np.argsort(times, kind="stable")
-    nodes, times = np.asarray(state_nodes)[order], np.asarray(times)[order]
-    state = init_state(g, vec, nodes[times == 0], params)
-    _activate(state, g, nodes[times > 0], times[times > 0])
-    state.step = int(times[-1])
-    rng = np.random.default_rng(seed)
-    before = state.active_count
-    step(state, vec, g, params, rng)
-    gained = state.active_count - before
-    new_nodes = np.flatnonzero(state.activation_time == state.step)
-    return gained, (_majority_segment(g, new_nodes) if len(new_nodes) else None)
+    A stable time sort replays the history in its listed order within a
+    step, so the sums match a step-by-step replay.
+    """
+    R, order = len(props), np.argsort(times, kind="stable")
+    rows = _fresh_rows(g, props, own_live=False)
+    _activate_rows(rows, g, np.arange(R).repeat(len(nodes)), np.tile(nodes[order], R),
+                   np.tile(times[order], R))
+    rngs = [np.random.default_rng(s) for s in seeds]
+    _, node, new = _draw(rows, params, rngs, *_eligible(rows, params))
+    # the fired cells come row after row
+    parts = np.split(node, np.cumsum(new)[:-1])
+    return [(k, _majority_segment(g, part) if k else None) for k, part in zip(new, parts)]
 
 
 def dp_policy(g: WeightedGraph, v: int, cfg: DpConfig, params: SimParams,
@@ -320,6 +321,9 @@ def dp_policy(g: WeightedGraph, v: int, cfg: DpConfig, params: SimParams,
     each codebook entry r, and at every visited state a one-step probe under
     each r' measures the spread gain and where the frontier moves. Pairs
     (r, s) that are never visited keep value zero and are flagged.
+
+    A probe rebuilds the visited state from activation times alone, so under
+    drift it sees the graph's undrifted features and weights.
     """
     R = len(cfg.codebook)
     n_seg = len(SEGMENT_ORDER)
@@ -327,11 +331,10 @@ def dp_policy(g: WeightedGraph, v: int, cfg: DpConfig, params: SimParams,
     gain_cnt = np.zeros((R, n_seg, R), dtype=np.int64)
     trans_cnt = np.zeros((R, n_seg, R, n_seg), dtype=np.int64)
 
-    probe_params = params
-    for r, vec in enumerate(cfg.codebook):
-        prop = Propagation.from_vector(np.asarray(vec, dtype=np.float64))
+    props = [Propagation.from_vector(np.asarray(vec, dtype=np.float64)) for vec in cfg.codebook]
+    for r, prop in enumerate(props):
         records = run_cascades(g, [(prop, [int(v)], derive_seed(rng_seed, "dp", r, sim))
-                                   for sim in range(cfg.sims_per_estimate)], probe_params)
+                                   for sim in range(cfg.sims_per_estimate)], params)
         for sim, rec in enumerate(records):
             # replay the trajectory, probing each visited state
             active_nodes = np.flatnonzero(rec.activation_time >= 0)
@@ -340,14 +343,11 @@ def dp_policy(g: WeightedGraph, v: int, cfg: DpConfig, params: SimParams,
             for t in horizon_steps[: cfg.horizon + 1]:
                 frontier = active_nodes[times == t]
                 s = _majority_segment(g, frontier)
-                upto = active_nodes[times <= t]
-                upto_times = times[times <= t]
-                for rp, vec_p in enumerate(cfg.codebook):
-                    prop_p = Propagation.from_vector(np.asarray(vec_p, dtype=np.float64))
-                    gained, s_next = _probe_one_step(
-                        g, upto, upto_times, prop_p, probe_params,
-                        derive_seed(rng_seed, "probe", r, sim, t, rp),
-                    )
+                probes = _probe_one_step(
+                    g, active_nodes[times <= t], times[times <= t], props, params,
+                    [derive_seed(rng_seed, "probe", r, sim, t, rp) for rp in range(R)],
+                )
+                for rp, (gained, s_next) in enumerate(probes):
                     gain_sum[r, s, rp] += gained
                     gain_cnt[r, s, rp] += 1
                     if s_next is not None:

@@ -73,6 +73,10 @@ def as_propagation(c) -> Propagation:
     return c if isinstance(c, Propagation) else Propagation.from_vector(c)
 
 
+def _is_int(val) -> bool:
+    return isinstance(val, (int, np.integer)) and not isinstance(val, bool)
+
+
 @dataclass(frozen=True)
 class SimParams:
     """Parameter bundle for the unified-propagation dynamics.
@@ -100,10 +104,16 @@ class SimParams:
             raise InvalidParameter("beta", f"alpha + beta = {self.alpha + self.beta} exceeds 1")
         if not 0.0 <= self.gamma < np.inf:
             raise InvalidParameter("gamma", f"must be finite and >= 0, got {self.gamma}")
+        if not _is_int(self.epsilon):
+            raise InvalidParameter("epsilon",
+                                   f"cooling period must be an integer, got {self.epsilon!r}")
         if self.epsilon < 1:
             raise InvalidParameter("epsilon", f"cooling period must be >= 1, got {self.epsilon}")
         if not 0.0 <= self.drift <= 1.0:
             raise InvalidParameter("lambda", f"drift rate must be in [0,1], got {self.drift}")
+        if self.max_steps is not None and not _is_int(self.max_steps):
+            raise InvalidParameter("max_steps",
+                                   f"must be an integer when given, got {self.max_steps!r}")
         if self.max_steps is not None and self.max_steps < 1:
             raise InvalidParameter("max_steps", "must be >= 1 when given")
         if not 0.0 < self.viral_fraction <= 1.0:
@@ -143,8 +153,8 @@ class CascadeState:
     ``active_wsum[v]`` caches the live-weight mass of v's active neighbors so
     the scaled local influence is just ``active_wsum[v] / live_degree[v]``.
     ``live_weights`` is the data array of the graph's weight CSR. Features,
-    weights and degrees are shared with the graph until drift first writes,
-    then copied.
+    weights and degrees are the graph's own arrays unless ``owns_live``, which
+    ``init_state`` sets under drift by giving the run copies to rewrite.
     """
 
     active: np.ndarray
@@ -351,6 +361,9 @@ def _fresh_rows(g: WeightedGraph, props, own_live: bool) -> _Rows:
 
 def _rows_of(state: CascadeState) -> _Rows:
     """One-row view of a single run's state; array writes go through to it."""
+    features, weights = state.live_features, state.live_weights
+    if state.owns_live:
+        features, weights = features[None], weights[None]
     return _Rows(
         n=state.n,
         active=state.active,
@@ -360,8 +373,9 @@ def _rows_of(state: CascadeState) -> _Rows:
         affinity_hat=state.affinity_hat,
         active_count=np.array([state.active_count], dtype=np.int64),
         live_degree=state.live_degree,
-        live_features=state.live_features,
-        live_weights=state.live_weights,
+        live_features=features,
+        live_weights=weights,
+        own_live=state.owns_live,
     )
 
 
@@ -439,6 +453,29 @@ def _activate_rows(rows: _Rows, g: WeightedGraph, run, node, t) -> None:
     np.add.at(rows.active_wsum, cells, weights)
 
 
+def _advance(rows: _Rows, g: WeightedGraph, p: SimParams, rngs, props, t: int):
+    """Advance every row one synchronous step, to step ``t``.
+
+    Row r draws from ``rngs[r]``, its fired cells are activated and, under
+    drift, its new nodes drift toward ``props[r]``. Returns the number of
+    draws made and the list of new adopters per row.
+    """
+    eligible, counts = _eligible(rows, p)
+    run, node, new = _draw(rows, p, rngs, eligible, counts)
+    if len(node):
+        _activate_rows(rows, g, run, node, t)
+        if p.drift > 0.0:
+            start = 0
+            for r, k in enumerate(new):
+                if k:
+                    _apply_drift(rows.live_features[r], rows.live_weights[r],
+                                 rows.row("live_degree", r), rows.row("active_wsum", r),
+                                 rows.row("active", r), g, props[r], p.drift,
+                                 node[start:start + k])
+                start += k
+    return len(eligible), new
+
+
 def _apply_drift(features, weights, degree, wsum, active, g: WeightedGraph, c, lam: float,
                  new_nodes) -> None:
     """Drift one run's newly activated features and refresh their incident
@@ -483,69 +520,47 @@ def drift_update(x_v: np.ndarray, c, lam: float) -> np.ndarray:
     return mixed / norm
 
 
-def _ensure_owned(state: CascadeState) -> None:
-    # copy-on-write for the drift path
-    if not state.owns_live:
-        state.live_features = state.live_features.copy()
-        state.live_degree = state.live_degree.copy()
-        state.live_weights = state.live_weights.copy()
-        state.owns_live = True
-
-
-def _activate(state: CascadeState, g: WeightedGraph, nodes, t) -> None:
-    """Activate distinct ``nodes`` of a single run at step ``t`` (one step or
-    one per node), in the given order."""
-    rows = _rows_of(state)
-    _activate_rows(rows, g, None, np.asarray(nodes, dtype=np.int64), t)
-    state.active_count = int(rows.active_count[0])
-
-
 def init_state(g: WeightedGraph, c, seeds, p: SimParams) -> CascadeState:
-    """Fresh run state with the seed set active at time 0."""
+    """Fresh run state with the seed set active at time 0. Under drift it
+    owns copies of the graph's degrees, features and weights for ``step`` to
+    rewrite; otherwise it shares the graph's arrays."""
     seeds = check_seeds(g, seeds)
-    rows = _fresh_rows(g, [_checked_propagation(g, c)], own_live=False)
-    state = CascadeState(
+    rows = _fresh_rows(g, [_checked_propagation(g, c)], own_live=p.drift > 0.0)
+    _activate_rows(rows, g, None, np.array(seeds, dtype=np.int64), 0)
+    return CascadeState(
         active=rows.active,
         activation_time=rows.activation_time,
         step=0,
         stable_steps=0,
-        active_count=0,
+        active_count=int(rows.active_count[0]),
         active_nbr_count=rows.active_nbr_count,
         active_wsum=rows.active_wsum,
         live_degree=rows.live_degree,
-        live_features=rows.live_features,
-        live_weights=rows.live_weights,
+        live_features=rows.live_features.reshape(g.n, g.features.k),
+        live_weights=rows.live_weights.ravel(),
         affinity_hat=rows.affinity_hat,
-        owns_live=False,
+        owns_live=rows.own_live,
     )
-    _activate(state, g, seeds, 0)
-    return state
 
 
 def step(state: CascadeState, c, g: WeightedGraph, p: SimParams,
          rng: np.random.Generator) -> int:
     """Advance one synchronous step; returns the number of new adopters.
 
-    The one-run case of the lockstep engine: probabilities are computed from
-    the pre-step state; draws happen in ascending node id order. With
-    ``require_contact`` only inactive nodes with an active neighbor
-    participate.
+    The one-row case of the lockstep engine's step: probabilities are
+    computed from the pre-step state; draws happen in ascending node id
+    order. With ``require_contact`` only inactive nodes with an active
+    neighbor participate. Under drift the state must own its live arrays
+    (``init_state`` with drift); one sharing the graph's is refused.
     """
-    t = state.step + 1
+    if p.drift > 0.0 and not state.owns_live:
+        raise InvalidParameter("lambda", "drift needs a state built by init_state with drift")
     rows = _rows_of(state)
-    eligible, counts = _eligible(rows, p)
-    new_nodes = eligible[:0]
-    if len(eligible):
-        _, new_nodes, _ = _draw(rows, p, [rng], eligible, counts)
-    if len(new_nodes):
-        _activate(state, g, new_nodes, t)
-        if p.drift > 0.0:
-            _ensure_owned(state)
-            _apply_drift(state.live_features, state.live_weights, state.live_degree,
-                         state.active_wsum, state.active, g, c, p.drift, new_nodes)
-    state.step = t
-    state.stable_steps = 0 if len(new_nodes) else state.stable_steps + 1
-    return int(len(new_nodes))
+    _, (new,) = _advance(rows, g, p, [rng], [c], state.step + 1)
+    state.step += 1
+    state.active_count = int(rows.active_count[0])
+    state.stable_steps = 0 if new else state.stable_steps + 1
+    return new
 
 
 def run_cascade(g: WeightedGraph, c, seeds, p: SimParams, rng_seed: int) -> CascadeRecord:
@@ -599,7 +614,8 @@ def _run_chunk(g: WeightedGraph, runs, p: SimParams):
     Returns their records in input order and the number of draws made.
     """
     n, R = g.n, len(runs)
-    rows = _fresh_rows(g, [prop for prop, _, _ in runs], own_live=p.drift > 0.0)
+    props = [prop for prop, _, _ in runs]
+    rows = _fresh_rows(g, props, own_live=p.drift > 0.0)
     sizes = [len(seeds) for _, seeds, _ in runs]
     _activate_rows(rows, g, np.arange(R).repeat(sizes),
                    np.array([s for _, seeds, _ in runs for s in seeds], dtype=np.int64), 0)
@@ -613,7 +629,7 @@ def _run_chunk(g: WeightedGraph, runs, p: SimParams):
 
     def retire(done):
         """Record the rows flagged in ``done``, ended at step ``t``; drop them."""
-        nonlocal rows, live, stable, rngs
+        nonlocal rows, live, stable, rngs, props
         for r in (r for r, d in enumerate(done) if d):
             i = live[r]
             prop, seeds, rng_seed = runs[i]
@@ -631,27 +647,16 @@ def _run_chunk(g: WeightedGraph, runs, p: SimParams):
             )
         keep = [not d for d in done]
         if any(keep):
-            live, stable, rngs = ([x for x, k in zip(xs, keep) if k] for xs in (live, stable, rngs))
+            live, stable, rngs, props = ([x for x, k in zip(xs, keep) if k]
+                                         for xs in (live, stable, rngs, props))
             rows = rows.take(np.array(keep))
         else:
             live = []
 
     while live:
-        eligible, counts = _eligible(rows, p)
         t += 1
-        draws += len(eligible)
-        run, node, new = _draw(rows, p, rngs, eligible, counts)
-        if len(node):
-            _activate_rows(rows, g, run, node, t)
-            if p.drift > 0.0:
-                start = 0
-                for r, k in enumerate(new):
-                    if k:
-                        _apply_drift(rows.live_features[r], rows.live_weights[r],
-                                     rows.row("live_degree", r), rows.row("active_wsum", r),
-                                     rows.row("active", r), g, runs[live[r]][0], p.drift,
-                                     node[start:start + k])
-                    start += k
+        made, new = _advance(rows, g, p, rngs, props, t)
+        draws += made
         for r, k in enumerate(new):
             waves[live[r]].append(k)
             stable[r] = 0 if k else stable[r] + 1

@@ -46,7 +46,7 @@ from contagion.updyn import (
     SimParams,
     activation_prob,
     init_state,
-    run_cascade,
+    run_cascades,
     self_propagation,
     step_probs_matrix,
 )
@@ -90,12 +90,9 @@ def test_criterion_01_incubation_oracle():
     )
     assert analytic == pytest.approx(0.55)
     runs = 100_000
-    hits = 0
-    for i in range(runs):
-        rec = run_cascade(g, c, [0], params,
-                          rng_seed=derive_seed(MASTER_SEED, "incubation", i))
-        if rec.activation_time[1] >= 0:
-            hits += 1
+    records = run_cascades(
+        g, [(c, [0], derive_seed(MASTER_SEED, "incubation", i)) for i in range(runs)], params)
+    hits = sum(rec.activation_time[1] >= 0 for rec in records)
     freq = hits / runs
     tol = 3 * np.sqrt(analytic * (1 - analytic) / runs)
     assert abs(freq - analytic) <= tol
@@ -127,11 +124,9 @@ def test_criterion_03_brute_force_cascade_oracle():
     exact = enumerate_spread_distribution(g, c.vec, [0], params)
     assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
     runs = 100_000
-    spreads = [
-        run_cascade(g, c, [0], params,
-                    rng_seed=derive_seed(MASTER_SEED, "path4", i)).final_spread
-        for i in range(runs)
-    ]
+    records = run_cascades(
+        g, [(c, [0], derive_seed(MASTER_SEED, "path4", i)) for i in range(runs)], params)
+    spreads = [rec.final_spread for rec in records]
     tv = total_variation(exact, empirical_spread_distribution(spreads))
     assert tv < 0.02
     print(f"[criterion 3] PASS: total variation {tv:.4f} < 0.02 at {runs} runs")

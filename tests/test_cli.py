@@ -626,3 +626,39 @@ def test_experiment_config_integer_fields_exit_2(tmp_path, capsys, doc, key):
                    "--out-dir", str(tmp_path / "r")) == 2
     assert f"error: {key}: expected an integer" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("doc, says", [
+    ({"sweep_values": 5}, "sweep_values: expected a list of finite numbers"),
+    ({"sweep_values": ["a"]}, "sweep_values: expected a list of finite numbers"),
+    ({"node_selection": 3}, "node_selection: expected a string"),
+    ({"params": {"epsilon": 2.5}}, "epsilon: cooling period must be an integer"),
+    ({"params": {"max_steps": True}}, "max_steps: must be an integer"),
+], ids=["sweep-not-list", "sweep-not-numbers", "selection-not-string", "epsilon-fraction",
+        "max-steps-bool"])
+def test_experiment_config_mistyped_fields_exit_2(tmp_path, capsys, doc, says):
+    cfg = tmp_path / "exp.json"
+    small = {"graph": {"n": 60, "r": 2, "embed_dim": 4, "seed": 1}, "runs_per_node": 1,
+             "node_selection": "sample:2"}
+    cfg.write_text(json.dumps({**small, **doc}))
+    assert run_cli("experiment", "--rq", "4", "--axis", "alpha", "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "r")) == 2
+    assert f"error: {says}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"I": 5},
+    [1],
+    {"aggregation": "sum", "I": [["u0", 0.5]], "b": []},
+    {"aggregation": "bogus", "I": [], "b": []},
+], ids=["no-aggregation", "not-an-object", "two-field-I", "unknown-aggregation"])
+def test_learn_eval_rejects_bad_model_file(tmp_path, capsys, doc):
+    trust, ratings = _learner_logs(tmp_path)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "eval.json"
+    assert run_cli("learn-eval", "--model", str(model), "--trust", str(trust),
+                   "--ratings", str(ratings), "--out", str(out)) == 2
+    assert f"error: model: {model}: " in capsys.readouterr().err
+    assert not out.exists()

@@ -46,6 +46,10 @@ EXPECTED = {
         "b6e0f2af00d4ae8a16a69af2f7c0ff44011123821ee86c2db897b8c7e8254e85",
     "optimizer.dp_policy":
         "f83be7b7553b8cde62a84332e908c787717c407005fe9b7d8573c15509b8d81d",
+    "optimizer.dp_policy.drift":
+        "a23575096c0da93d3b54515b9ade2301340449cffe152b3dfabd950f53d6584b",
+    "optimizer.dp_policy.one_entry":
+        "baf50cf296bf5c672f3ac4fe025a16cd880f2a3c6c9736227e6fef8425dc5c33",
     "graph.edges":
         "c142d68c4081d10458d57f4261854ca434271f8a2009224630362ffc0729c803",
     "graph.edge_weights":
@@ -103,13 +107,33 @@ def test_baseline_records(pa_graph_small):
         assert _records_digest(records) == EXPECTED[f"baseline.{name}"], name
 
 
+def _dp_digest(g, entries, horizon, params):
+    cfg = DpConfig(codebook=default_codebook(g, 57, 5)[entries], horizon=horizon,
+                   sims_per_estimate=3)
+    res = dp_policy(g, 57, cfg, params, 5)
+    return _arrays_digest(res.values, res.immediate_reward, res.transitions, res.observed)
+
+
 def test_dp_policy_tables(pa_graph_small):
     # the one-step probes replay activation histories through the state
-    g = pa_graph_small
-    cfg = DpConfig(codebook=default_codebook(g, 57, 5), horizon=3, sims_per_estimate=3)
-    res = dp_policy(g, 57, cfg, SimParams(gamma=0.15, max_steps=30), 5)
-    digest = _arrays_digest(res.values, res.immediate_reward, res.transitions, res.observed)
+    digest = _dp_digest(pa_graph_small, slice(None), 3, SimParams(gamma=0.15, max_steps=30))
     assert digest == EXPECTED["optimizer.dp_policy"]
+
+
+# (codebook entries, horizon, params); the drift case looks eight steps deep
+# because its cascades only part from the undrifted ones after step five
+DP_PROBE_CASES = {
+    "drift": (slice(None), 8, SimParams(gamma=0.15, max_steps=30, drift=0.4)),
+    "one_entry": (slice(1), 3, SimParams(gamma=0.15, max_steps=30)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DP_PROBE_CASES))
+def test_dp_policy_probe_tables(pa_graph_small, case):
+    # under drift the cascades drift while the probes rebuild each visited
+    # state on the undrifted graph; one entry makes every probe a single row
+    digest = _dp_digest(pa_graph_small, *DP_PROBE_CASES[case])
+    assert digest == EXPECTED[f"optimizer.dp_policy.{case}"]
 
 
 def test_graph_build_bytes():

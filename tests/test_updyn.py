@@ -13,6 +13,7 @@ from contagion.updyn import (
     init_state,
     local_influence,
     run_cascade,
+    run_cascades,
     self_propagation,
     step,
     step_probs_matrix,
@@ -58,6 +59,9 @@ def test_simparams_validation():
         SimParams(gamma=-0.1)
     with pytest.raises(InvalidParameter):
         SimParams(viral_fraction=0.0)
+    for bad in ({"epsilon": 2.5}, {"epsilon": True}, {"max_steps": 3.0}, {"max_steps": True}):
+        with pytest.raises(InvalidParameter):
+            SimParams(**bad)
     p = SimParams()
     assert p.global_weight == pytest.approx(1.0 / 3.0)
     assert p.resolve_max_steps(1000) == 10000
@@ -151,12 +155,9 @@ def test_step_bernoulli_semantics_two_node():
     c = self_propagation(g, 0)
     params = SimParams(alpha=0.5, beta=0.5, gamma=0.3, epsilon=1)
     # analytic: aff = 1, li = 1 -> p = 0.3
-    hits = 0
     trials = 100_000
-    for i in range(trials):
-        rec = run_cascade(g, c, [0], params, rng_seed=i)
-        if rec.activation_time[1] == 1:
-            hits += 1
+    records = run_cascades(g, [(c, [0], i) for i in range(trials)], params)
+    hits = sum(rec.activation_time[1] == 1 for rec in records)
     p = 0.3
     sigma = np.sqrt(p * (1 - p) / trials)
     assert abs(hits / trials - p) <= 3 * sigma
@@ -319,9 +320,8 @@ def test_spread_distribution_matches_enumeration(path4_uniform):
     exact = enumerate_spread_distribution(g, c.vec, [0], params)
     assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
     runs = 100_000
-    spreads = [
-        run_cascade(g, c, [0], params, rng_seed=i).final_spread for i in range(runs)
-    ]
+    records = run_cascades(g, [(c, [0], i) for i in range(runs)], params)
+    spreads = [rec.final_spread for rec in records]
     tv = total_variation(exact, empirical_spread_distribution(spreads))
     assert tv < 0.02
 
@@ -350,7 +350,7 @@ def test_drift_cascade_stays_consistent(pa_graph_small):
     rec = run_cascade(g, c, [2], params, rng_seed=8)
     assert rec.final_spread > 1
     assert rec.new_per_step.sum() == rec.final_spread
-    # graph tables untouched by the run (copy-on-write)
+    # graph tables untouched by the run, which drifts its own copies
     assert np.array_equal(g.weights.data, weights)
     assert np.array_equal(g.weighted_degree, degree)
     assert np.array_equal(g.features.rows, rows)
@@ -369,6 +369,30 @@ def test_drift_state_matrix_consistency(pa_graph_small):
         mat = step_probs_matrix(state, c, g, params)
         loop = np.array([activation_prob(v, state, c, g, params) for v in range(g.n)])
         assert np.max(np.abs(mat - loop)) < 1e-12
+
+
+def test_init_state_owns_live_arrays_under_drift(pa_graph_small):
+    g = pa_graph_small
+    state = init_state(g, self_propagation(g, 1), [1], SimParams(drift=0.3))
+    assert state.owns_live
+    for live, graph in ((state.live_degree, g.weighted_degree),
+                        (state.live_features, g.features.rows),
+                        (state.live_weights, g.weights.data)):
+        assert not np.shares_memory(live, graph)
+        assert np.array_equal(live, graph)
+
+
+def test_drift_step_on_state_built_without_drift_raises(pa_graph_small):
+    # such a state shares the graph's arrays, which drift would rewrite
+    g = pa_graph_small
+    c = self_propagation(g, 1)
+    state = init_state(g, c, [1, 5, 9], SimParams())
+    weights, degree, rows = g.weights.data.copy(), g.weighted_degree.copy(), g.features.rows.copy()
+    with pytest.raises(InvalidParameter):
+        step(state, c, g, SimParams(gamma=1.0, drift=0.5), np.random.default_rng(0))
+    assert np.array_equal(g.weights.data, weights)
+    assert np.array_equal(g.weighted_degree, degree)
+    assert np.array_equal(g.features.rows, rows)
 
 
 def test_drift_to_zero_tie_mass_keeps_other_terms():
