@@ -68,14 +68,13 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def blas_threads() -> dict:
-    """Threads each loaded OpenBLAS library uses, by library file name.
+def _openblas_query(names, restype):
+    """Call the first of ``names`` that each loaded OpenBLAS library
+    exports; returns its result by library file name.
 
-    Dense eigendecompositions round differently with the thread count, so
-    byte-identical graphs need the same BLAS library and thread count. Empty
-    where the loaded libraries cannot be listed (no /proc/self/maps); a
-    library that cannot be opened by its mapped path (replaced on disk, or a
-    path with spaces) is left out.
+    Empty where the loaded libraries cannot be listed (no /proc/self/maps);
+    a library that cannot be opened by its mapped path (replaced on disk, or
+    a path with spaces) is left out.
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -90,14 +89,39 @@ def blas_threads() -> dict:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        for name in names:
             fn = getattr(lib, name, None)
             if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_int
-                out[Path(path).name] = int(fn())
+                fn.argtypes, fn.restype = [], restype
+                out[Path(path).name] = fn()
                 break
     return out
+
+
+def blas_threads() -> dict:
+    """Threads each loaded OpenBLAS library uses, by library file name.
+
+    Dense eigendecompositions round differently with the thread count, so
+    byte-identical graphs need the same BLAS library, kernel and thread
+    count.
+    """
+    return _openblas_query(("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                            "openblas_get_num_threads64_", "openblas_get_num_threads"),
+                           ctypes.c_int)
+
+
+def blas_cores() -> dict:
+    """The CPU kernel each loaded OpenBLAS library runs (such as
+    ``SkylakeX`` or ``Haswell``), by library file name.
+
+    A dynamic-arch build picks it for the CPU at load time, or takes
+    ``OPENBLAS_CORETYPE``; kernels round differently, so the determinism
+    digests hold for one kernel.
+    """
+    found = _openblas_query(("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                             "openblas_get_corename64_", "openblas_get_corename"),
+                            ctypes.c_char_p)
+    return {lib: name.decode() for lib, name in found.items() if name is not None}
 
 
 def write_csv(path, rows, columns=None) -> None:
@@ -158,7 +182,8 @@ def _merged(args, config: dict, key: str, default, kind=None):
     """Explicit flag wins, then config file, then the default.
 
     With ``kind`` (int, float or boolean) a value other than None is cast to
-    it, and one that does not cast raises InvalidParameter naming ``key``.
+    it, and one that does not cast raises InvalidParameter naming ``key``;
+    an int key also refuses a boolean and a fractional number.
     """
     val = getattr(args, key.replace("-", "_"), None)
     if val is None:
@@ -181,6 +206,9 @@ def boolean(val) -> bool:
 def _typed(key: str, val, kind):
     if kind is None or val is None:
         return val
+    # int() would truncate 2.5 to 2 and read true as 1
+    if kind is int and (isinstance(val, bool) or isinstance(val, float) and not val.is_integer()):
+        raise InvalidParameter(key, f"expected int, got {val!r}")
     try:
         return kind(val)
     except (TypeError, ValueError):
@@ -386,7 +414,8 @@ def cmd_netgen(opts) -> Done:
     feats = g.features
     return Done({out: partial(save_graph, g)}, f"wrote {out}: n={n} edges={len(g.raw.edges)} k={k}",
                 metrics={"solver": feats.solver, "max_residual": feats.max_residual,
-                         "warnings": list(feats.warnings), "blas_threads": blas_threads()})
+                         "warnings": list(feats.warnings), "blas_threads": blas_threads(),
+                         "blas_cores": blas_cores()})
 
 
 @command

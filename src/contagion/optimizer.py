@@ -22,8 +22,8 @@ import numpy as np
 from .errors import InvalidParameter
 from .netgen import CORE, WeightedGraph
 from .rng import derive_seed
-from .updyn import (Propagation, SimParams, _activate_rows, _draw, _eligible, _fresh_rows,
-                    run_cascades)
+from .updyn import (Propagation, SimParams, _activate_rows, _affinities, _draw, _eligible,
+                    _fresh_rows, run_cascades)
 
 logger = logging.getLogger(__name__)
 
@@ -294,16 +294,17 @@ def _majority_segment(g: WeightedGraph, nodes) -> int:
     return SEGMENT_ORDER.index(best)
 
 
-def _probe_one_step(g, nodes, times, props, params, seeds):
+def _probe_one_step(g, nodes, times, affinity_hat, params, seeds):
     """Draw one step from a visited state under each propagation, row r' of
-    one lockstep state under ``seeds[r']``; returns each row's gain and the
-    majority segment of its new nodes (None when it gains none).
+    one lockstep state with the affinities of row r' of ``affinity_hat``
+    (see ``updyn._affinities``) under ``seeds[r']``; returns each row's gain
+    and the majority segment of its new nodes (None when it gains none).
 
     A stable time sort replays the history in its listed order within a
     step, so the sums match a step-by-step replay.
     """
-    R, order = len(props), np.argsort(times, kind="stable")
-    rows = _fresh_rows(g, props, own_live=False)
+    R, order = len(seeds), np.argsort(times, kind="stable")
+    rows = _fresh_rows(g, affinity_hat, own_live=False)
     _activate_rows(rows, g, np.arange(R).repeat(len(nodes)), np.tile(nodes[order], R),
                    np.tile(times[order], R))
     rngs = [np.random.default_rng(s) for s in seeds]
@@ -332,6 +333,7 @@ def dp_policy(g: WeightedGraph, v: int, cfg: DpConfig, params: SimParams,
     trans_cnt = np.zeros((R, n_seg, R, n_seg), dtype=np.int64)
 
     props = [Propagation.from_vector(np.asarray(vec, dtype=np.float64)) for vec in cfg.codebook]
+    affinity_hat = _affinities(g, props)  # the probes' rows, built once
     for r, prop in enumerate(props):
         records = run_cascades(g, [(prop, [int(v)], derive_seed(rng_seed, "dp", r, sim))
                                    for sim in range(cfg.sims_per_estimate)], params)
@@ -344,7 +346,7 @@ def dp_policy(g: WeightedGraph, v: int, cfg: DpConfig, params: SimParams,
                 frontier = active_nodes[times == t]
                 s = _majority_segment(g, frontier)
                 probes = _probe_one_step(
-                    g, active_nodes[times <= t], times[times <= t], props, params,
+                    g, active_nodes[times <= t], times[times <= t], affinity_hat, params,
                     [derive_seed(rng_seed, "probe", r, sim, t, rp) for rp in range(R)],
                 )
                 for rp, (gained, s_next) in enumerate(probes):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import groupby
 
 import numpy as np
 import scipy.sparse as sp
@@ -333,13 +334,23 @@ class _Rows:
         return replace(self, **kept)
 
 
-def _fresh_rows(g: WeightedGraph, props, own_live: bool) -> _Rows:
-    R, n = len(props), g.n
-    affinity_hat = np.empty(R * n)
+def _affinities(g: WeightedGraph, props) -> np.ndarray:
+    """Calibrated affinities of every node under each propagation, run r's
+    in row r of a flat (R * n,) array."""
+    n = g.n
+    affinity_hat = np.empty(len(props) * n)
     for r, prop in enumerate(props):
         # one matrix-vector product per run keeps each row's bits
         affinity_hat[r * n:(r + 1) * n] = np.clip((1.0 + g.features.rows @ prop.vec) / 2.0,
                                                   0.0, 1.0)
+    return affinity_hat
+
+
+def _fresh_rows(g: WeightedGraph, affinity_hat: np.ndarray, own_live: bool) -> _Rows:
+    """Rows with nothing active, one per run of ``affinity_hat`` (see
+    ``_affinities``)."""
+    n = g.n
+    R = len(affinity_hat) // n
     live = (g.weighted_degree, g.features.rows, g.weights.data)
     if own_live:
         live = (np.tile(g.weighted_degree, R), np.repeat(g.features.rows[None], R, axis=0),
@@ -453,63 +464,123 @@ def _activate_rows(rows: _Rows, g: WeightedGraph, run, node, t) -> None:
     np.add.at(rows.active_wsum, cells, weights)
 
 
-def _advance(rows: _Rows, g: WeightedGraph, p: SimParams, rngs, props, t: int):
+def _advance(rows: _Rows, g: WeightedGraph, p: SimParams, rngs, vecs: np.ndarray, t: int):
     """Advance every row one synchronous step, to step ``t``.
 
     Row r draws from ``rngs[r]``, its fired cells are activated and, under
-    drift, its new nodes drift toward ``props[r]``. Returns the number of
-    draws made and the list of new adopters per row.
+    drift, its new nodes drift toward the unit vector ``vecs[r]`` (``vecs``
+    is unused without drift). Returns the number of draws made and the
+    list of new adopters per row.
     """
     eligible, counts = _eligible(rows, p)
     run, node, new = _draw(rows, p, rngs, eligible, counts)
     if len(node):
         _activate_rows(rows, g, run, node, t)
         if p.drift > 0.0:
-            start = 0
-            for r, k in enumerate(new):
-                if k:
-                    _apply_drift(rows.live_features[r], rows.live_weights[r],
-                                 rows.row("live_degree", r), rows.row("active_wsum", r),
-                                 rows.row("active", r), g, props[r], p.drift,
-                                 node[start:start + k])
-                start += k
+            _drift_rows(rows, g, np.zeros_like(node) if run is None else run, node, t, vecs,
+                        p.drift)
     return len(eligible), new
 
 
-def _apply_drift(features, weights, degree, wsum, active, g: WeightedGraph, c, lam: float,
-                 new_nodes) -> None:
-    """Drift one run's newly activated features and refresh their incident
-    weights, on that run's live arrays.
+def _drift_rows(rows: _Rows, g: WeightedGraph, run, node, t: int, vecs: np.ndarray,
+                lam: float) -> None:
+    """Drift the cells (run[i], node[i]) activated at step ``t``, given in
+    row-major order, toward their row's propagation ``vecs[run[i]]`` and
+    refresh their incident weights: one pass over every row's live arrays.
 
-    Processed in ascending node order after all draws of the step; weight
-    refreshes use the current live features, so simultaneous activations see
-    one another's updated features once processed.
+    Each row ends bit-identical to drifting its new nodes one at a time in
+    ascending order, after all of the step's draws:
+    - node v's feature becomes normalize((1 - lam) x_v + lam c); when that
+      mix is the zero vector (x_v antipodal to c at lam = 1/2) it is kept,
+      with a warning;
+    - each weight at v becomes clip((1 + x_u . x_v) / 2, 0, 1), where x_u is
+      u's drifted feature if u is new and earlier in the row, else its live
+      one; the later new endpoint of an edge writes its final value;
+    - the change of each weight is added to v's and u's degree, to u's
+      active mass and, if u is active, to v's, one add at a time in that
+      node-by-node order.
+    Rounding matches only under the same numpy and BLAS calls: a norm is
+    the ``ddot`` ``np.linalg.norm`` makes, and each degree's dot products
+    and weight-change totals are one stacked call shaped as one node's.
     """
-    indptr = g.raw.indptr
-    for v in sorted(int(x) for x in new_nodes):
-        new_x = drift_update(features[v], c, lam)
-        features[v] = new_x
-        row = slice(indptr[v], indptr[v + 1])
-        nbrs = g.raw.indices[row]
-        new_w = np.clip((1.0 + features[nbrs] @ new_x) / 2.0, 0.0, 1.0)
-        delta = new_w - weights[row]
-        weights[row] = new_w
-        weights[g.rev[row]] = new_w
-        degree[v] += float(delta.sum())
-        degree[nbrs] += delta
-        # v is active, so its weight change moves the neighbors' active mass
-        wsum[nbrs] += delta
-        for d in delta[active[nbrs]]:
-            # one add per active neighbor in neighbor order; pinned-seed
-            # records depend on this rounding
-            wsum[v] += d
+    n, k, nnz = rows.n, g.features.k, len(g.raw.indices)
+    indptr, indices, rev = g.raw.indptr, g.raw.indices, g.rev
+    cells = run * n + node  # ascending: the order of the node-by-node pass
+    # lay the new nodes out by degree (stably), so each degree is one slice
+    deg = indptr[node + 1] - indptr[node]
+    by_deg = deg.argsort(kind="stable")
+    slot = by_deg.argsort()  # each cell's place in that layout
+    run, node, deg, own = run[by_deg], node[by_deg], deg[by_deg], cells[by_deg]
+
+    x = rows.live_features[run, node]
+    mixed = (1.0 - lam) * x + lam * vecs[run]
+    norm = np.sqrt(np.matmul(mixed[:, None, :], mixed[:, :, None]))[:, 0, 0]
+    degenerate = norm < 1e-12
+    for _ in range(np.count_nonzero(degenerate)):
+        logger.warning("drift update degenerate (antipodal feature); keeping feature")
+    new_x = np.divide(mixed, norm[:, None], out=x, where=~degenerate[:, None])
+
+    # incident edges, node after node; a new neighbour u drifted before v
+    # when its cell is lower
+    pos = g.raw.row_positions(node)
+    erun, owner, nbr, mirror = run.repeat(deg), own.repeat(deg), indices[pos], rev[pos]
+    nbr_cell = erun * n + nbr
+    is_new = rows.activation_time[nbr_cell] == t
+    earlier = is_new & (nbr_cell < owner)
+    ue = np.flatnonzero(earlier)  # edges to an earlier new node
+    u = slot[cells.searchsorted(nbr_cell[ue])]
+    seen = rows.live_features[erun, nbr]
+    seen[ue] = new_x[u]
+    rows.live_features[run, node] = new_x
+
+    # one stacked gemv per degree d, (N_d, d, k) @ (N_d, k, 1)
+    groups, a, e = [], 0, 0  # (node slice, edge slice, degree)
+    for d, same in groupby(deg.tolist()):
+        b = a + len(list(same))
+        groups.append((a, b, e, e + (b - a) * d, d))
+        a, e = b, e + (b - a) * d
+    dots = np.empty(len(pos))
+    for a, b, ea, eb, d in groups:
+        np.matmul(seen[ea:eb].reshape(b - a, d, k), new_x[a:b, :, None],
+                  out=dots[ea:eb].reshape(b - a, d, 1))
+    new_w = np.clip((1.0 + dots) / 2.0, 0.0, 1.0)
+
+    # the weight v saw is what an earlier new u wrote at its own edge to v;
+    # weights are addressed flat, run * nnz + position
+    edge = erun * nnz + pos
+    before = rows.live_weights.take(edge)
+    first = deg.cumsum() - deg
+    before[ue] = new_w[first[u] + mirror[ue] - indptr[nbr[ue]]]
+    delta = new_w - before
+    last = earlier | ~is_new  # v is the edge's later new endpoint: its value stays
+    final = new_w[last]
+    rows.live_weights.put(edge[last], final)
+    rows.live_weights.put((erun * nnz + mirror)[last], final)
+
+    total = np.empty(len(node))
+    for a, b, ea, eb, d in groups:
+        total[a:b] = np.add.reduce(delta[ea:eb].reshape(b - a, d), axis=1)
+    _ordered_add(rows.live_degree, (own, own, total), (owner, nbr_cell, delta))
+    act = rows.active[nbr_cell]
+    _ordered_add(rows.active_wsum, (owner, nbr_cell, delta), (owner[act],) * 2 + (delta[act],))
+
+
+def _ordered_add(target: np.ndarray, first, then) -> None:
+    """``target[cell] += value`` over the (key, cell, value) arrays of
+    ``first`` and ``then``, one add at a time: key by key in ascending
+    order, each key's ``first`` pairs before its ``then`` pairs, each part
+    in its given order."""
+    order = np.concatenate((first[0], then[0])).argsort(kind="stable")
+    np.add.at(target, np.concatenate((first[1], then[1]))[order],
+              np.concatenate((first[2], then[2]))[order])
 
 
 def drift_update(x_v: np.ndarray, c, lam: float) -> np.ndarray:
     """Post-activation feature pull toward the propagation direction.
 
     Returns normalize((1-lam) x_v + lam c). The exactly antipodal lam=1/2
-    case has no direction; the feature is kept unchanged and logged.
+    case has no direction; the feature is kept unchanged and logged. The
+    engine applies this map to a step's new nodes in bulk (``_drift_rows``).
     """
     vec = as_propagation(c).vec
     mixed = (1.0 - lam) * np.asarray(x_v, dtype=np.float64) + lam * vec
@@ -525,7 +596,7 @@ def init_state(g: WeightedGraph, c, seeds, p: SimParams) -> CascadeState:
     owns copies of the graph's degrees, features and weights for ``step`` to
     rewrite; otherwise it shares the graph's arrays."""
     seeds = check_seeds(g, seeds)
-    rows = _fresh_rows(g, [_checked_propagation(g, c)], own_live=p.drift > 0.0)
+    rows = _fresh_rows(g, _affinities(g, [_checked_propagation(g, c)]), own_live=p.drift > 0.0)
     _activate_rows(rows, g, None, np.array(seeds, dtype=np.int64), 0)
     return CascadeState(
         active=rows.active,
@@ -556,7 +627,8 @@ def step(state: CascadeState, c, g: WeightedGraph, p: SimParams,
     if p.drift > 0.0 and not state.owns_live:
         raise InvalidParameter("lambda", "drift needs a state built by init_state with drift")
     rows = _rows_of(state)
-    _, (new,) = _advance(rows, g, p, [rng], [c], state.step + 1)
+    vecs = as_propagation(c).vec[None] if p.drift > 0.0 else None
+    _, (new,) = _advance(rows, g, p, [rng], vecs, state.step + 1)
     state.step += 1
     state.active_count = int(rows.active_count[0])
     state.stable_steps = 0 if new else state.stable_steps + 1
@@ -614,8 +686,8 @@ def _run_chunk(g: WeightedGraph, runs, p: SimParams):
     Returns their records in input order and the number of draws made.
     """
     n, R = g.n, len(runs)
-    props = [prop for prop, _, _ in runs]
-    rows = _fresh_rows(g, props, own_live=p.drift > 0.0)
+    vecs = np.array([prop.vec for prop, _, _ in runs])
+    rows = _fresh_rows(g, _affinities(g, [prop for prop, _, _ in runs]), own_live=p.drift > 0.0)
     sizes = [len(seeds) for _, seeds, _ in runs]
     _activate_rows(rows, g, np.arange(R).repeat(sizes),
                    np.array([s for _, seeds, _ in runs for s in seeds], dtype=np.int64), 0)
@@ -629,7 +701,7 @@ def _run_chunk(g: WeightedGraph, runs, p: SimParams):
 
     def retire(done):
         """Record the rows flagged in ``done``, ended at step ``t``; drop them."""
-        nonlocal rows, live, stable, rngs, props
+        nonlocal rows, live, stable, rngs, vecs
         for r in (r for r, d in enumerate(done) if d):
             i = live[r]
             prop, seeds, rng_seed = runs[i]
@@ -647,15 +719,17 @@ def _run_chunk(g: WeightedGraph, runs, p: SimParams):
             )
         keep = [not d for d in done]
         if any(keep):
-            live, stable, rngs, props = ([x for x, k in zip(xs, keep) if k]
-                                         for xs in (live, stable, rngs, props))
-            rows = rows.take(np.array(keep))
+            live, stable, rngs = ([x for x, k in zip(xs, keep) if k]
+                                  for xs in (live, stable, rngs))
+            keep = np.array(keep)
+            vecs = vecs[keep]
+            rows = rows.take(keep)
         else:
             live = []
 
     while live:
         t += 1
-        made, new = _advance(rows, g, p, rngs, props, t)
+        made, new = _advance(rows, g, p, rngs, vecs, t)
         draws += made
         for r, k in enumerate(new):
             waves[live[r]].append(k)

@@ -30,6 +30,16 @@ def pa_graph_1000():
     return build_graph(1000, 2, 10, seed=42)
 
 
+class Draws:
+    """Stands in for a Generator: every uniform is the same value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size):
+        return np.full(size, self.value)
+
+
 def raw_from_edges(n, edges) -> RawGraph:
     return _finish_raw(n, edges)
 

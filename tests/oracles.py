@@ -147,6 +147,68 @@ def diameter_all_sources(n: int, edges) -> int:
     return best
 
 
+def apply_drift(g, c, lam, new_nodes, active, degree, features, weights, wsum):
+    """Drift one run's new nodes node by node, in ascending order, on its
+    own live arrays: each node's feature moves toward ``c``, its incident
+    weights are refreshed from the features as they stand at that moment
+    (earlier new nodes already drifted), and the degree and active-mass
+    tallies take one add per changed weight in that order.
+    """
+    from contagion.updyn import drift_update
+
+    indptr, indices = g.raw.indptr, g.raw.indices
+    for v in sorted(int(x) for x in new_nodes):
+        new_x = drift_update(features[v], c, lam)
+        features[v] = new_x
+        row = slice(indptr[v], indptr[v + 1])
+        nbrs = indices[row]
+        new_w = np.clip((1.0 + features[nbrs] @ new_x) / 2.0, 0.0, 1.0)
+        delta = new_w - weights[row]
+        weights[row] = new_w
+        weights[g.rev[row]] = new_w
+        degree[v] += float(delta.sum())
+        degree[nbrs] += delta
+        wsum[nbrs] += delta
+        for d in delta[active[nbrs]]:
+            wsum[v] += d
+
+
+class DriftReference:
+    """One run's live arrays, advanced by ``apply_drift`` from the nodes each
+    step activated (read off the run being checked)."""
+
+    def __init__(self, g, c, lam, seeds):
+        self.g, self.c, self.lam = g, c, lam
+        self.active = np.zeros(g.n, dtype=bool)
+        self.activation_time = np.full(g.n, -1, dtype=np.int64)
+        self.live_degree = g.weighted_degree.copy()
+        self.live_features = g.features.rows.copy()
+        self.live_weights = g.weights.data.copy()
+        self.active_wsum = np.zeros(g.n)
+        self._activate([int(s) for s in seeds], 0)
+
+    def _activate(self, nodes, t):
+        indptr, indices = self.g.raw.indptr, self.g.raw.indices
+        self.active[nodes] = True
+        self.activation_time[nodes] = t
+        for v in nodes:
+            row = slice(indptr[v], indptr[v + 1])
+            self.active_wsum[indices[row]] += self.live_weights[row]
+
+    def advance(self, new_nodes, t):
+        self._activate([int(v) for v in new_nodes], t)
+        apply_drift(self.g, self.c, self.lam, new_nodes, self.active, self.live_degree,
+                    self.live_features, self.live_weights, self.active_wsum)
+
+    def matches(self, activation_time, live_degree, live_features, live_weights, active_wsum):
+        """Whether the given live arrays equal this run's, bit for bit."""
+        mine = (self.activation_time, self.live_degree, self.live_features, self.live_weights,
+                self.active_wsum)
+        theirs = (activation_time, live_degree, live_features, live_weights, active_wsum)
+        return all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                   for a, b in zip(mine, theirs))
+
+
 def reference_cascade(g, c, seeds, params, rng_seed):
     """One cascade stepped alone on node arrays of its own: the reference
     the lockstep engine must match bit for bit.
@@ -155,7 +217,7 @@ def reference_cascade(g, c, seeds, params, rng_seed):
     final_spread, converged_at, hit_cap, draws), where draws counts the
     Bernoulli draws made (the eligible-set sizes summed over steps).
     """
-    from contagion.updyn import TIE_EPS, drift_update
+    from contagion.updyn import TIE_EPS
 
     n, indptr, indices = g.n, g.raw.indptr, g.raw.indices
     c_vec = c.vec
@@ -205,20 +267,8 @@ def reference_cascade(g, c, seeds, params, rng_seed):
                 if not owned:
                     degree, features, weights = degree.copy(), features.copy(), weights.copy()
                     owned = True
-                for v in sorted(int(x) for x in new_nodes):
-                    new_x = drift_update(features[v], c, params.drift)
-                    features[v] = new_x
-                    row = slice(indptr[v], indptr[v + 1])
-                    nbrs = indices[row]
-                    new_w = np.clip((1.0 + features[nbrs] @ new_x) / 2.0, 0.0, 1.0)
-                    delta = new_w - weights[row]
-                    weights[row] = new_w
-                    weights[g.rev[row]] = new_w
-                    degree[v] += float(delta.sum())
-                    degree[nbrs] += delta
-                    wsum[nbrs] += delta
-                    for d in delta[active[nbrs]]:
-                        wsum[v] += d
+                apply_drift(g, c, params.drift, new_nodes, active, degree, features, weights,
+                            wsum)
         stable = 0 if len(new_nodes) else stable + 1
         new_per_step.append(len(new_nodes))
     return (activation_time, np.array(new_per_step, dtype=np.int64), count, step,

@@ -145,6 +145,35 @@ def test_config_non_numeric_value_exits_2(graph_file, tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "epsilon", 2.5),
+    ("simulate", "max-steps", True),
+    ("simulate", "runs", 2.7),
+    ("simulate", "runs", False),
+    ("netgen", "nodes", 60.5),
+    ("optimize", "sims", True),
+])
+def test_config_integer_key_rejects_fraction_and_boolean(graph_file, tmp_path, capsys, command,
+                                                         key, value):
+    # an integer key takes an integer, an integral float or a numeral; it
+    # must not truncate 2.5 to 2 or read true as 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": str(graph_file), key: value}))
+    out = tmp_path / "out.json"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+    assert f"error: {key}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_integer_key_takes_integral_float(graph_file, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": str(graph_file), "runs": 2.0, "epsilon": 3.0}))
+    out = tmp_path / "runs.jsonl"
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2 and json.loads(lines[0])["params"]["epsilon"] == 3
+
+
 @pytest.mark.parametrize("value, contact", [
     ("false", True), ("true", False), ("TRUE", False), (0, True), (1, False),
     (False, True), (True, False), ("0", True),
@@ -215,9 +244,12 @@ def test_experiment_manifest_counts_runs(tmp_path):
 def test_netgen_manifest_reports_blas_threads(tmp_path):
     path = tmp_path / "g.json"
     assert run_cli("netgen", "--nodes", "60", "--embed-dim", "4", "--out", str(path)) == 0
-    threads = json.loads((tmp_path / "manifest.json").read_text())["metrics"]["blas_threads"]
+    metrics = json.loads((tmp_path / "manifest.json").read_text())["metrics"]
+    threads, cores = metrics["blas_threads"], metrics["blas_cores"]
     assert isinstance(threads, dict)
     assert all(isinstance(v, int) and v >= 1 for v in threads.values())
+    assert isinstance(cores, dict) and set(cores) <= set(threads)
+    assert all(isinstance(v, str) and v for v in cores.values())
 
 
 def test_blas_threads_skips_libraries_it_cannot_open(monkeypatch, tmp_path):
@@ -234,6 +266,7 @@ def test_blas_threads_skips_libraries_it_cannot_open(monkeypatch, tmp_path):
                                                         *a, **k),
                         raising=False)
     assert cli.blas_threads() == {}
+    assert cli.blas_cores() == {}
 
 
 def test_simulate_config_max_steps_string(graph_file, tmp_path):

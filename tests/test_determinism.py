@@ -17,7 +17,15 @@ from contagion.baselines import BaselineConfig, run_ic, run_kcomplex, run_lt
 from contagion.cli import dispatch
 from contagion.netgen import build_graph, load_graph, save_graph
 from contagion.optimizer import DpConfig, default_codebook, dp_policy
-from contagion.updyn import SimParams, run_cascade, self_propagation
+from contagion.updyn import (
+    Propagation,
+    SimParams,
+    init_state,
+    run_cascade,
+    run_cascades,
+    self_propagation,
+    step,
+)
 
 RUN_SEEDS = (3, 17, 2024)
 SEED_NODES = (0, 57, 199)
@@ -38,6 +46,14 @@ EXPECTED = {
         "0c226d9d3de5b0349c01f15d0d4849b0bf1998cd0f5f8043827148e4a3c20e54",
     "up.hit_cap":
         "9c2fff13a27e187be0b9c882bda53a0e52b332c072a014df8bb76ce85e814dec",
+    "up.drift_step.contact":
+        "f0dacfb3376c0f9307f8f266df2781c1e97e9088f353d3eb6d4f8ddb71fddd1b",
+    "up.drift_step.spontaneous":
+        "74832947d7ffd80a08dff7f4cc8d8552ef9817d5ece14944910d2f41492a498d",
+    "up.drift_batch.contact":
+        "443b148338908d13cc177d319836119afd48900fe571749eff09e316349db5af",
+    "up.drift_batch.spontaneous":
+        "e02a213039035f3805f5af8a4026ae145f369db64e0bb7d1ddfcd3e386596da4",
     "baseline.ic":
         "c9717c3f9a265ad2752f51801fa5e98b8e974c8d6276017c7cbf1ff252430936",
     "baseline.lt":
@@ -93,6 +109,44 @@ def test_up_cascade_records(pa_graph_small, path):
     if path == "hit_cap":
         assert all(r.hit_cap for r in records)
     assert _records_digest(records) == EXPECTED[f"up.{path}"]
+
+
+# one run stepped 60 times under drift: (params, seed node); without the
+# contact rule many adjacent nodes activate, and drift, in the same step
+DRIFT_STEP_CASES = {
+    "contact": (SimParams(gamma=0.3, drift=0.3), 0),
+    "spontaneous": (SimParams(gamma=1.0, drift=0.4, require_contact=False), 57),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DRIFT_STEP_CASES))
+def test_drift_step_live_arrays(pa_graph_small, case):
+    g = pa_graph_small
+    params, seed = DRIFT_STEP_CASES[case]
+    c = Propagation.from_vector(np.random.default_rng(seed).standard_normal(g.features.k))
+    state = init_state(g, c, [seed], params)
+    rng = np.random.default_rng(11)
+    waves = [step(state, c, g, params, rng) for _ in range(60)]
+    assert max(waves) > 1
+    digest = _arrays_digest(state.activation_time, state.live_degree, state.live_features,
+                            state.live_weights, state.active_wsum)
+    assert digest == EXPECTED[f"up.drift_step.{case}"]
+
+
+DRIFT_BATCH_CASES = {
+    "contact": SimParams(gamma=0.3, drift=0.4),
+    "spontaneous": SimParams(gamma=1.0, drift=0.5, require_contact=False, epsilon=3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DRIFT_BATCH_CASES))
+def test_drift_batch_records(pa_graph_small, case):
+    # every run is a row of one lockstep batch, drifting side by side
+    g = pa_graph_small
+    runs = [(self_propagation(g, v), [v], s) for v in SEED_NODES for s in RUN_SEEDS]
+    records = run_cascades(g, runs, DRIFT_BATCH_CASES[case])
+    assert max(r.final_spread for r in records) > 1
+    assert _records_digest(records) == EXPECTED[f"up.drift_batch.{case}"]
 
 
 def test_baseline_records(pa_graph_small):

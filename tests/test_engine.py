@@ -19,17 +19,21 @@ from contagion.updyn import (
     Propagation,
     RunTally,
     SimParams,
+    init_state,
     iter_cascades,
     run_cascade,
     run_cascades,
     self_propagation,
 )
-from tests.oracles import reference_cascade
+from tests.conftest import Draws
+from tests.oracles import DriftReference, reference_cascade
 
 PATHS = {
     "contact": SimParams(gamma=0.15),
     "spontaneous": SimParams(gamma=0.05, require_contact=False),
     "drift": SimParams(gamma=0.15, drift=0.3),
+    # many adjacent nodes of a row activate, and drift, in the same step
+    "drift_spontaneous": SimParams(gamma=1.0, drift=0.5, require_contact=False, epsilon=3),
     "hit_cap": SimParams(gamma=0.6, max_steps=5),
     "gamma_above_1": SimParams(gamma=1.6, epsilon=3),
 }
@@ -79,7 +83,7 @@ def test_batched_scatter_matches_one_run_per_row(pa_graph_small):
     rng = np.random.default_rng(4)
     nodes = [rng.permutation(g.n)[:size] for size in (150, 1, 60)]
     props = [self_propagation(g, int(row[0])) for row in nodes]
-    rows = updyn._fresh_rows(g, props, own_live=False)
+    rows = updyn._fresh_rows(g, updyn._affinities(g, props), own_live=False)
     run = np.repeat(np.arange(3), [len(row) for row in nodes])
     updyn._activate_rows(rows, g, run, np.concatenate(nodes), 0)
     for r, (prop, row) in enumerate(zip(props, nodes)):
@@ -144,6 +148,41 @@ def test_batch_larger_than_one_chunk(pa_graph_small, monkeypatch, drift):
         assert np.array_equal(a.activation_time, b.activation_time)
         assert np.array_equal(a.new_per_step, b.new_per_step)
     _assert_matches_reference(g, runs, params, chunked, tally)
+
+
+def _stacked(states) -> updyn._Rows:
+    """One lockstep state whose row r is ``states[r]``, each owning its live
+    arrays."""
+    cat = {name: np.concatenate([getattr(s, name) for s in states])
+           for name in ("active", "activation_time", "active_nbr_count", "active_wsum",
+                        "affinity_hat", "live_degree")}
+    return updyn._Rows(n=states[0].n, **cat,
+                       active_count=np.array([s.active_count for s in states], dtype=np.int64),
+                       live_features=np.stack([s.live_features for s in states]),
+                       live_weights=np.stack([s.live_weights for s in states]), own_live=True)
+
+
+def test_drift_rows_match_node_by_node_oracle(pa_graph_small):
+    # four rows drift in the same steps, each with many adjacent new nodes,
+    # except row 1, whose draws never fire
+    g = pa_graph_small
+    params = SimParams(gamma=1.0, drift=0.4, require_contact=False)
+    rng = np.random.default_rng(6)
+    props = [Propagation.from_vector(rng.standard_normal(g.features.k)) for _ in range(4)]
+    seeds = [[0], [5, 9], [57], [199, 3]]
+    rows = _stacked([init_state(g, c, s, params) for c, s in zip(props, seeds)])
+    refs = [DriftReference(g, c, params.drift, s) for c, s in zip(props, seeds)]
+    rngs = [np.random.default_rng(1), Draws(2.0), np.random.default_rng(2),
+            np.random.default_rng(3)]
+    vecs = np.array([c.vec for c in props])
+    for t in range(1, 5):
+        _, new = updyn._advance(rows, g, params, rngs, vecs, t)
+        assert new[1] == 0 and min(new[0], new[2], new[3]) > 1
+        for r, ref in enumerate(refs):
+            ref.advance(np.flatnonzero(rows.row("activation_time", r) == t), t)
+            assert ref.matches(rows.row("activation_time", r), rows.row("live_degree", r),
+                               rows.live_features[r], rows.live_weights[r],
+                               rows.row("active_wsum", r)), (t, r)
 
 
 def test_run_cascade_is_a_batch_of_one(pa_graph_small):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,9 @@ from contagion.updyn import (
     step_probs_matrix,
 )
 from contagion.netgen import assign_edge_weights, make_unit_features
-from tests.conftest import raw_from_edges, uniform_feature_graph
+from tests.conftest import Draws, raw_from_edges, uniform_feature_graph
 from tests.oracles import (
+    DriftReference,
     empirical_spread_distribution,
     enumerate_spread_distribution,
     naive_activation_prob,
@@ -395,6 +398,46 @@ def test_drift_step_on_state_built_without_drift_raises(pa_graph_small):
     assert np.array_equal(g.features.rows, rows)
 
 
+def test_step_drift_matches_node_by_node_oracle(pa_graph_small):
+    # without the contact rule a step activates many nodes at once, adjacent
+    # ones among them; each drift sees the features its earlier neighbours
+    # took in the same step
+    g = pa_graph_small
+    params = SimParams(gamma=1.0, drift=0.4, require_contact=False)
+    c = Propagation.from_vector(np.random.default_rng(2).standard_normal(g.features.k))
+    state = init_state(g, c, [0, 57], params)
+    ref = DriftReference(g, c, params.drift, [0, 57])
+    rng = np.random.default_rng(3)
+    for t in range(1, 6):
+        step(state, c, g, params, rng)
+        new = np.flatnonzero(state.activation_time == t)
+        if t == 1:
+            assert np.isin(g.raw.edges, new).all(axis=1).sum() > 5
+        ref.advance(new, t)
+        assert ref.matches(state.activation_time, state.live_degree, state.live_features,
+                           state.live_weights, state.active_wsum), t
+
+
+def test_drift_antipodal_nodes_keep_their_features(caplog):
+    # path 0-1-2-3: nodes 1 and 3 are exactly antipodal to c, so at lambda
+    # 1/2 their mix is the zero vector; each keeps its feature with one
+    # warning, while node 2, drifting in the same step, moves
+    rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    g = assign_edge_weights(raw_from_edges(4, [(0, 1), (1, 2), (2, 3)]), make_unit_features(rows))
+    c = Propagation(vec=np.array([-1.0, 0.0]))
+    params = SimParams(gamma=1.0, drift=0.5, require_contact=False)
+    state = init_state(g, c, [0], params)
+    with caplog.at_level(logging.WARNING, logger="contagion.updyn"):
+        assert step(state, c, g, params, Draws(-1.0)) == 3
+    assert sum("antipodal" in r.getMessage() for r in caplog.records) == 2
+    assert np.array_equal(state.live_features[[0, 1, 3]], rows[[0, 1, 3]])
+    assert np.allclose(state.live_features[2], np.array([-1.0, 1.0]) / np.sqrt(2.0))
+    ref = DriftReference(g, c, params.drift, [0])
+    ref.advance([1, 2, 3], 1)
+    assert ref.matches(state.activation_time, state.live_degree, state.live_features,
+                       state.live_weights, state.active_wsum)
+
+
 def test_drift_to_zero_tie_mass_keeps_other_terms():
     # path 0-1-2: full drift turns node 1 into c, antipodal to node 2, so the
     # only weight at node 2 drops to zero; its local term vanishes while the
@@ -403,15 +446,6 @@ def test_drift_to_zero_tie_mass_keeps_other_terms():
     g = assign_edge_weights(raw_from_edges(3, [(0, 1), (1, 2)]), make_unit_features(rows))
     c = Propagation.from_vector([1.0, 0.0])
     params = SimParams(alpha=0.0, beta=0.5, gamma=1.0, drift=1.0)
-
-    class Draws:
-        """Stands in for a Generator: every uniform is the same value."""
-
-        def __init__(self, value):
-            self.value = value
-
-        def random(self, size):
-            return np.full(size, self.value)
 
     state = init_state(g, c, [0], params)
     assert step(state, c, g, params, Draws(-1.0)) == 1  # only node 1 is in contact
