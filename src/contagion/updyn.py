@@ -496,7 +496,8 @@ def _drift_rows(rows: _Rows, g: WeightedGraph, run, node, t: int, vecs: np.ndarr
     - each weight at v becomes clip((1 + x_u . x_v) / 2, 0, 1), where x_u is
       u's drifted feature if u is new and earlier in the row, else its live
       one; the later new endpoint of an edge writes its final value;
-    - the change of each weight is added to v's and u's degree, to u's
+    - the change of each weight, from the value v saw (what an earlier new
+      u wrote, else the stored one), is added to v's and u's degree, to u's
       active mass and, if u is active, to v's, one add at a time in that
       node-by-node order.
     Rounding matches only under the same numpy and BLAS calls: a norm is
@@ -509,7 +510,6 @@ def _drift_rows(rows: _Rows, g: WeightedGraph, run, node, t: int, vecs: np.ndarr
     # lay the new nodes out by degree (stably), so each degree is one slice
     deg = indptr[node + 1] - indptr[node]
     by_deg = deg.argsort(kind="stable")
-    slot = by_deg.argsort()  # each cell's place in that layout
     run, node, deg, own = run[by_deg], node[by_deg], deg[by_deg], cells[by_deg]
 
     x = rows.live_features[run, node]
@@ -520,18 +520,16 @@ def _drift_rows(rows: _Rows, g: WeightedGraph, run, node, t: int, vecs: np.ndarr
         logger.warning("drift update degenerate (antipodal feature); keeping feature")
     new_x = np.divide(mixed, norm[:, None], out=x, where=~degenerate[:, None])
 
-    # incident edges, node after node; a new neighbour u drifted before v
+    # incident edges, node after node; a new neighbour drifted before v
     # when its cell is lower
     pos = g.raw.row_positions(node)
-    erun, owner, nbr, mirror = run.repeat(deg), own.repeat(deg), indices[pos], rev[pos]
+    erun, owner, nbr = run.repeat(deg), own.repeat(deg), indices[pos]
     nbr_cell = erun * n + nbr
     is_new = rows.activation_time[nbr_cell] == t
     earlier = is_new & (nbr_cell < owner)
-    ue = np.flatnonzero(earlier)  # edges to an earlier new node
-    u = slot[cells.searchsorted(nbr_cell[ue])]
-    seen = rows.live_features[erun, nbr]
-    seen[ue] = new_x[u]
+    old = rows.live_features[erun, nbr]
     rows.live_features[run, node] = new_x
+    seen = np.where(earlier[:, None], rows.live_features[erun, nbr], old)
 
     # one stacked gemv per degree d, (N_d, d, k) @ (N_d, k, 1)
     groups, a, e = [], 0, 0  # (node slice, edge slice, degree)
@@ -545,17 +543,16 @@ def _drift_rows(rows: _Rows, g: WeightedGraph, run, node, t: int, vecs: np.ndarr
                   out=dots[ea:eb].reshape(b - a, d, 1))
     new_w = np.clip((1.0 + dots) / 2.0, 0.0, 1.0)
 
-    # the weight v saw is what an earlier new u wrote at its own edge to v;
-    # weights are addressed flat, run * nnz + position
-    edge = erun * nnz + pos
-    before = rows.live_weights.take(edge)
-    first = deg.cumsum() - deg
-    before[ue] = new_w[first[u] + mirror[ue] - indptr[nbr[ue]]]
-    delta = new_w - before
-    last = earlier | ~is_new  # v is the edge's later new endpoint: its value stays
-    final = new_w[last]
-    rows.live_weights.put(edge[last], final)
-    rows.live_weights.put((erun * nnz + mirror)[last], final)
+    # weights are addressed flat, run * nnz + position. On an edge to a
+    # later new node, v's value goes first to that node's side, where it is
+    # the weight the later node sees; the later node's value is final
+    edge, back = erun * nnz + pos, erun * nnz + rev[pos]
+    later = is_new ^ earlier
+    rows.live_weights.put(back[later], new_w[later])
+    delta = new_w - rows.live_weights.take(edge)
+    final = ~later
+    rows.live_weights.put(edge[final], new_w[final])
+    rows.live_weights.put(back[final], new_w[final])
 
     total = np.empty(len(node))
     for a, b, ea, eb, d in groups:
