@@ -53,7 +53,7 @@ class BaselineConfig:
         }
 
 
-def _record(g, cfg, seeds, rng_seed, activation_time, new_per_step, steps, model):
+def _record(cfg, seeds, rng_seed, activation_time, new_per_step, steps):
     return CascadeRecord(
         params=cfg,
         seed_set=tuple(seeds),
@@ -64,7 +64,7 @@ def _record(g, cfg, seeds, rng_seed, activation_time, new_per_step, steps, model
         final_spread=int(np.sum(activation_time >= 0)),
         converged_at=steps,
         hit_cap=False,
-        model=model,
+        model=cfg.model,
     )
 
 
@@ -98,7 +98,34 @@ def run_ic(g: WeightedGraph, seeds, p: float, rng_seed: int) -> CascadeRecord:
                 newly += hit.tolist()
         frontier = sorted(newly)
         new_per_step.append(len(newly))
-    return _record(g, cfg, seeds, int(rng_seed), activation_time, new_per_step, t, IC)
+    return _record(cfg, seeds, int(rng_seed), activation_time, new_per_step, t)
+
+
+def _threshold_run(g, seeds, weights, reached, cfg, rng_seed) -> CascadeRecord:
+    """Synchronous threshold rounds until a fixpoint.
+
+    Each round's new nodes add ``weights`` (aligned with the CSR entries) to
+    their neighbours' tallies; the next round activates every inactive node
+    whose tally passes ``reached``.
+    """
+    n = g.n
+    activation_time = np.full(n, -1, dtype=np.int64)
+    active = np.zeros(n, dtype=bool)
+    tally = np.zeros(n, dtype=weights.dtype)
+    new_per_step = []
+    newly = np.asarray(seeds)
+    t = 0
+    while True:
+        new_per_step.append(len(newly))
+        if len(newly) == 0:
+            break
+        active[newly] = True
+        activation_time[newly] = t
+        pos = g.raw.row_positions(newly)
+        np.add.at(tally, g.raw.indices[pos], weights[pos])
+        t += 1
+        newly = np.flatnonzero(~active & reached(tally))
+    return _record(cfg, seeds, rng_seed, activation_time, new_per_step, t)
 
 
 def run_lt(g: WeightedGraph, seeds, cfg: BaselineConfig, rng_seed: int) -> CascadeRecord:
@@ -118,46 +145,19 @@ def run_lt(g: WeightedGraph, seeds, cfg: BaselineConfig, rng_seed: int) -> Casca
     else:
         theta = np.full(n, float(cfg.lt_theta))
 
-    activation_time = np.full(n, -1, dtype=np.int64)
-    active = np.zeros(n, dtype=bool)
-    active_wsum = np.zeros(n)
-    new_per_step = []
-    newly = np.asarray(seeds)
-    t = 0
-    while True:
-        new_per_step.append(len(newly))
-        if len(newly) == 0:
-            break
-        active[newly] = True
-        activation_time[newly] = t
-        pos = g.raw.row_positions(newly)
-        np.add.at(active_wsum, g.raw.indices[pos], g.weights.data[pos])
-        t += 1
-        # a node without tie mass feels no influence, as in updyn.step
-        influence = np.divide(active_wsum, g.weighted_degree, out=np.zeros(n),
-                              where=g.weighted_degree > TIE_EPS)
-        newly = np.flatnonzero(~active & (influence >= theta))
-    return _record(g, cfg, seeds, int(rng_seed), activation_time, new_per_step, t, LT)
+    # a node without tie mass feels no influence, as in updyn.step
+    has_mass = g.weighted_degree > TIE_EPS
+
+    def reached(active_wsum):
+        influence = np.divide(active_wsum, g.weighted_degree, out=np.zeros(n), where=has_mass)
+        return influence >= theta
+
+    return _threshold_run(g, seeds, g.weights.data, reached, cfg, int(rng_seed))
 
 
 def run_kcomplex(g: WeightedGraph, seeds, k: int) -> CascadeRecord:
     """Deterministic k-complex contagion: activate on >= k active neighbors."""
     cfg = BaselineConfig(model=KCOMPLEX, k=k)
     seeds = check_seeds(g, seeds)
-    n = g.n
-    activation_time = np.full(n, -1, dtype=np.int64)
-    active = np.zeros(n, dtype=bool)
-    counts = np.zeros(n, dtype=np.int64)
-    new_per_step = []
-    newly = np.asarray(seeds)
-    t = 0
-    while True:
-        new_per_step.append(len(newly))
-        if len(newly) == 0:
-            break
-        active[newly] = True
-        activation_time[newly] = t
-        np.add.at(counts, g.raw.indices[g.raw.row_positions(newly)], 1)
-        t += 1
-        newly = np.flatnonzero(~active & (counts >= k))
-    return _record(g, cfg, seeds, None, activation_time, new_per_step, t, KCOMPLEX)
+    return _threshold_run(g, seeds, np.ones(len(g.raw.indices), dtype=np.int64),
+                          lambda counts: counts >= k, cfg, None)

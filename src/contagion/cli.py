@@ -685,6 +685,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
+    def add_sim_flags(p):
+        # the keys _sim_params_from resolves
+        p.add_argument("--alpha", type=float)
+        p.add_argument("--beta", type=float)
+        p.add_argument("--gamma", type=float)
+        p.add_argument("--epsilon", type=int)
+        p.add_argument("--lambda", type=float, help="feature drift rate")
+        p.add_argument("--max-steps", type=int)
+        p.add_argument("--viral-fraction", type=float)
+        p.add_argument("--spontaneous", action="store_const", const=True,
+                       help="let every inactive node draw each step (no contact gate)")
+
     p = add("netgen", cmd_netgen, "generate a weighted PA network")
     p.add_argument("--nodes", type=int)
     p.add_argument("--attach", type=int)
@@ -694,15 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("simulate", cmd_simulate, "run propagation cascades")
     p.add_argument("--graph")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--epsilon", type=int)
-    p.add_argument("--lambda", type=float, help="feature drift rate")
-    p.add_argument("--max-steps", type=int)
-    p.add_argument("--viral-fraction", type=float)
-    p.add_argument("--spontaneous", action="store_const", const=True,
-                   help="let every inactive node draw each step (no contact gate)")
+    add_sim_flags(p)
     p.add_argument("--seeds", help="comma-separated seed node ids")
     p.add_argument("--prop", help="self | affinity:<c> | path to vector JSON")
     p.add_argument("--runs", type=int)
@@ -763,10 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sims", type=int)
     p.add_argument("--top-deg", type=int)
     p.add_argument("--core-targets", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--epsilon", type=int)
+    add_sim_flags(p)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
 

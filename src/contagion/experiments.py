@@ -148,8 +148,6 @@ class RunSummary:
     viral: bool
     time_to_virality: int | None
     tipping: int | None
-    converged_at: int
-    hit_cap: bool
     new_per_step: tuple | None = None
 
 
@@ -200,8 +198,6 @@ def _summarize(rec, run_index, params, keep_series) -> RunSummary:
         viral=viral,
         time_to_virality=ttv,
         tipping=tipping,
-        converged_at=rec.converged_at,
-        hit_cap=rec.hit_cap,
         new_per_step=tuple(int(x) for x in rec.new_per_step) if keep_series else None,
     )
 

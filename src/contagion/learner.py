@@ -172,12 +172,11 @@ def boundary_nodes(trace: CascadeTrace, graph: InfluenceGraph) -> list:
     return out
 
 
-def resolve_boundary_weight(trace, graph, w_boundary):
+def resolve_boundary_weight(n_members, n_boundary, w_boundary):
     """Balanced mode weights boundary terms so both categories carry the
     same total mass as the member terms."""
     if w_boundary == "balanced":
-        n_boundary = len(boundary_nodes(trace, graph))
-        return len(trace.members) / n_boundary if n_boundary else 0.0
+        return n_members / n_boundary if n_boundary else 0.0
     return float(w_boundary)
 
 
@@ -194,7 +193,8 @@ def trace_nll(trace: CascadeTrace, graph: InfluenceGraph, params: ThresholdModel
 
 
 def _trace_terms(trace, graph, params, w_boundary):
-    wb = resolve_boundary_weight(trace, graph, w_boundary)
+    boundary = boundary_nodes(trace, graph)
+    wb = resolve_boundary_weight(len(trace.members), len(boundary), w_boundary)
     parents = trace.parents()
     clamped = 0
     loss = 0.0
@@ -208,7 +208,7 @@ def _trace_terms(trace, graph, params, w_boundary):
         loss -= math.log(p)
     boundary_scores = []
     members = frozenset(trace.members)
-    for u in boundary_nodes(trace, graph):
+    for u in boundary:
         p = predict_activation(u, members, graph, params)
         boundary_scores.append((u, members, p))
         if p > 1.0 - PROB_FLOOR:

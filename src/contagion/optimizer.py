@@ -14,10 +14,10 @@ and re-scoring a vector reproduces its score exactly.
 from __future__ import annotations
 
 import logging
-from collections import defaultdict, deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .errors import InvalidParameter
 from .netgen import CORE, WeightedGraph
@@ -82,34 +82,6 @@ class BeamResult:
     evaluations: int
 
 
-def _hop_set(g: WeightedGraph, v: int, max_hops: int) -> set:
-    seen = {v}
-    frontier = [v]
-    for _ in range(max_hops):
-        nxt = []
-        for u in frontier:
-            for w in g.raw.neighbors(u):
-                w = int(w)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
-
-
-def _bfs_parents(g: WeightedGraph, v: int):
-    parent = {v: None}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for w in g.raw.neighbors(u):
-            w = int(w)
-            if w not in parent:
-                parent[w] = u
-                queue.append(w)
-    return parent
-
-
 def build_candidate_pool(g: WeightedGraph, v: int, K: int, top_deg: int,
                          core_targets: int | None = None) -> CandidatePool:
     """Candidate nodes and their propagation vectors.
@@ -119,42 +91,40 @@ def build_candidate_pool(g: WeightedGraph, v: int, K: int, top_deg: int,
     seed to each core node (limited to the ``core_targets`` nearest core
     nodes when given). Each pooled node contributes its own unit feature and
     the normalized sum of its neighborhood's features.
+
+    The paths run up a BFS tree whose parent for each node is its first
+    discoverer, every CSR row scanned in ascending order; nearest means
+    fewest hops, ties by id.
     """
     if v < 0 or v >= g.n:
         raise InvalidParameter("seed-node", f"node {v} outside [0, {g.n})")
     if K < 0:
         raise InvalidParameter("khop", "hop count must be >= 0")
 
-    parent = _bfs_parents(g, int(v))
-    reachable = set(parent)
-    pool = {int(v)}
-    pool |= _hop_set(g, int(v), K)
+    adj = g.raw.adjacency()
+    # dijkstra's predecessors break distance ties by heap order, not scan order
+    _, parent = breadth_first_order(adj, int(v), directed=True, return_predecessors=True)
+    hops = dijkstra(adj, indices=int(v), unweighted=True)
+    reachable = np.flatnonzero(np.isfinite(hops))
+    pool = hops <= K
 
     if top_deg > 0:
-        deg = g.raw.degree
-        order = sorted(reachable, key=lambda u: (-deg[u], u))
-        pool.update(order[:top_deg])
+        deg = g.raw.degree[reachable]
+        pool[reachable[np.lexsort((reachable, -deg))[:top_deg]]] = True
 
-    core_nodes = [u for u in range(g.n) if g.segments[u] == CORE and u in reachable]
+    core_nodes = reachable[g.segments[reachable] == CORE]
     if core_targets is not None:
-        # nearest first: walk up the BFS tree to measure depth
-        def depth(u):
-            d = 0
-            while parent[u] is not None:
-                u = parent[u]
-                d += 1
-            return d
+        core_nodes = core_nodes[np.lexsort((core_nodes, hops[core_nodes]))[:core_targets]]
+    while len(core_nodes):
+        # one BFS level of every path per pass; the seed's parent is negative
+        pool[core_nodes] = True
+        core_nodes = parent[core_nodes]
+        core_nodes = core_nodes[core_nodes >= 0]
 
-        core_nodes = sorted(core_nodes, key=lambda u: (depth(u), u))[:core_targets]
-    for target in core_nodes:
-        u = target
-        while u is not None:
-            pool.add(u)
-            u = parent[u]
-
+    nodes = np.flatnonzero(pool).tolist()
     rows = g.features.rows
     candidates = []
-    for node in sorted(pool):
+    for node in nodes:
         own = rows[node].copy()
         candidates.append(Candidate(node=node, kind=OWN, vec=own))
         summed = rows[node] + rows[g.raw.neighbors(node)].sum(axis=0)
@@ -164,7 +134,7 @@ def build_candidate_pool(g: WeightedGraph, v: int, K: int, top_deg: int,
         else:
             hood = summed / norm
         candidates.append(Candidate(node=node, kind=NEIGHBORHOOD, vec=hood))
-    return CandidatePool(nodes=tuple(sorted(pool)), candidates=tuple(candidates))
+    return CandidatePool(nodes=tuple(nodes), candidates=tuple(candidates))
 
 
 def estimate_spread(g: WeightedGraph, c, v: int, M: int, params: SimParams,
@@ -287,11 +257,9 @@ def default_codebook(g: WeightedGraph, v: int, rng_seed: int) -> tuple:
 
 
 def _majority_segment(g: WeightedGraph, nodes) -> int:
-    counts = defaultdict(int)
-    for u in nodes:
-        counts[str(g.segments[int(u)])] += 1
-    best = max(SEGMENT_ORDER, key=lambda s: (counts.get(s, 0), -SEGMENT_ORDER.index(s)))
-    return SEGMENT_ORDER.index(best)
+    # argmax keeps the first maximum, so ties go to the earlier segment
+    segments = g.segments[nodes]
+    return int(np.argmax([np.count_nonzero(segments == s) for s in SEGMENT_ORDER]))
 
 
 def _probe_one_step(g, nodes, times, affinity_hat, params, seeds):
@@ -358,19 +326,14 @@ def dp_policy(g: WeightedGraph, v: int, cfg: DpConfig, params: SimParams,
     observed = gain_cnt[:, :, 0] > 0
     with np.errstate(invalid="ignore"):
         reward = np.where(gain_cnt > 0, gain_sum / np.maximum(gain_cnt, 1), 0.0)
-    trans = np.zeros((R, n_seg, R, n_seg))
-    for r in range(R):
-        for s in range(n_seg):
-            for rp in range(R):
-                total = trans_cnt[r, s, rp].sum()
-                if total > 0:
-                    trans[r, s, rp] = trans_cnt[r, s, rp] / total
+    total = trans_cnt.sum(axis=3, keepdims=True)
+    trans = np.divide(trans_cnt, total, out=np.zeros((R, n_seg, R, n_seg)), where=total > 0)
 
     if not observed.all():
         logger.warning("dp_policy: %d unreached (codebook, segment) pairs valued 0",
                        int((~observed).sum()))
 
-    immediate = np.array([[reward[r, s, r] for s in range(n_seg)] for r in range(R)])
+    immediate = reward[np.arange(R), :, np.arange(R)]  # reward[r, s, r]
     seed_seg = SEGMENT_ORDER.index(str(g.segments[int(v)]))
 
     if cfg.horizon == 0:
@@ -382,16 +345,9 @@ def dp_policy(g: WeightedGraph, v: int, cfg: DpConfig, params: SimParams,
     values = np.zeros((cfg.horizon, R, n_seg))
     v_next = np.zeros((R, n_seg))
     for t in range(cfg.horizon - 1, -1, -1):
-        v_cur = np.zeros((R, n_seg))
-        for r in range(R):
-            for s in range(n_seg):
-                best = 0.0
-                for rp in range(R):
-                    cont = float((trans[r, s, rp] * v_next[rp]).sum())
-                    best = max(best, reward[r, s, rp] + cont)
-                v_cur[r, s] = best if observed[r, s] else 0.0
-        values[t] = v_cur
-        v_next = v_cur
+        # best over r' of reward plus expected continuation, never below 0
+        best = (reward + (trans * v_next).sum(axis=3)).max(axis=2)
+        v_next = values[t] = np.where(observed, np.maximum(0.0, best), 0.0)
 
     recommendation = int(np.argmax(values[0, :, seed_seg]))
     return DpResult(values=values, recommendation=recommendation,

@@ -6,7 +6,7 @@ touching the vectorized simulation path it is checking.
 """
 
 import itertools
-from collections import defaultdict
+from collections import defaultdict, deque
 
 import numpy as np
 
@@ -145,6 +145,68 @@ def diameter_all_sources(n: int, edges) -> int:
             return None
         best = max(best, max(dist.values()))
     return best
+
+
+def candidate_pool(g, v: int, K: int, top_deg: int, core_targets=None):
+    """The optimizer's candidate pool by plain-python BFS walks over the CSR.
+
+    Returns the sorted pooled nodes and one (node, kind, vector) triple per
+    candidate: the node's own feature, then its normalized neighborhood sum.
+    BFS parents are first discoverers, scanning each row in ascending order;
+    a core node's distance is its depth in that tree.
+    """
+    v = int(v)
+    parent = {v: None}
+    queue = deque([v])
+    while queue:
+        u = queue.popleft()
+        for w in g.raw.neighbors(u):
+            w = int(w)
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+
+    pool = {v}
+    frontier = [v]
+    for _ in range(K):
+        nxt = []
+        for u in frontier:
+            for w in g.raw.neighbors(u):
+                w = int(w)
+                if w not in pool:
+                    pool.add(w)
+                    nxt.append(w)
+        frontier = nxt
+
+    if top_deg > 0:
+        deg = g.raw.degree
+        pool.update(sorted(parent, key=lambda u: (-deg[u], u))[:top_deg])
+
+    def depth(u):
+        d = 0
+        while parent[u] is not None:
+            u = parent[u]
+            d += 1
+        return d
+
+    core_nodes = [u for u in range(g.n) if g.segments[u] == "core" and u in parent]
+    if core_targets is not None:
+        core_nodes = sorted(core_nodes, key=lambda u: (depth(u), u))[:core_targets]
+    for target in core_nodes:
+        u = target
+        while u is not None:
+            pool.add(u)
+            u = parent[u]
+
+    rows = g.features.rows
+    candidates = []
+    for node in sorted(pool):
+        own = rows[node].copy()
+        summed = rows[node] + rows[g.raw.neighbors(node)].sum(axis=0)
+        norm = float(np.linalg.norm(summed))
+        candidates.append((node, "own", own))
+        candidates.append((node, "neighborhood", own if norm < 1e-12 else summed / norm))
+    return tuple(sorted(pool)), candidates
 
 
 def apply_drift(g, c, lam, new_nodes, active, degree, features, weights, wsum):

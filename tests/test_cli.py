@@ -592,6 +592,17 @@ def test_optimize_manifest_counts_evaluations(graph_file, tmp_path):
         "evaluations": best["evaluations"], "pool_size": best["pool_size"]}
 
 
+def test_optimize_takes_simulation_flags(graph_file, tmp_path):
+    out = tmp_path / "best.json"
+    assert run_cli("optimize", "--graph", str(graph_file), "--seed-node", "50", "--khop", "0",
+                   "--beam", "1", "--rounds", "0", "--sims", "2", "--top-deg", "0",
+                   "--core-targets", "0", "--max-steps", "30", "--lambda", "0.1",
+                   "--viral-fraction", "0.4", "--spontaneous", "--out", str(out)) == 0
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert (config["max-steps"], config["lambda"], config["viral-fraction"],
+            config["spontaneous"]) == (30, 0.1, 0.4, True)
+
+
 @pytest.mark.parametrize("model", ["ic", "lt", "kcomplex"])
 def test_baseline_manifest_counts_runs(graph_file, tmp_path, model):
     out = tmp_path / "runs.jsonl"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from contagion import learner
 from contagion.errors import InvalidParameter
 from contagion.learner import (
     MEAN,
@@ -179,6 +180,21 @@ def test_nll_decomposes_across_traces():
     total, _, _ = nll_and_grad(traces, g, params)
     parts = sum(trace_nll(t, g, params) for t in traces)
     assert total == pytest.approx(parts)
+
+
+@pytest.mark.parametrize("w_boundary", ["balanced", 0.5])
+def test_nll_and_grad_scans_each_boundary_once(monkeypatch, w_boundary):
+    g, traces, params = random_instance(3, SUM)
+    expected = nll_and_grad(traces, g, params, w_boundary)
+    calls = []
+
+    def counted(trace, graph):
+        calls.append(trace.trace_id)
+        return boundary_nodes(trace, graph)
+
+    monkeypatch.setattr(learner, "boundary_nodes", counted)
+    assert nll_and_grad(traces, g, params, w_boundary) == expected
+    assert calls == [t.trace_id for t in traces]
 
 
 @pytest.mark.parametrize("aggregation", [SUM, MEAN])

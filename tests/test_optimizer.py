@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from contagion.errors import InvalidParameter
-from contagion.netgen import PERIPHERY
+from contagion.netgen import PERIPHERY, build_graph
 from contagion.optimizer import (
     BeamConfig,
     DpConfig,
@@ -14,7 +16,7 @@ from contagion.optimizer import (
 )
 from contagion.updyn import SimParams, self_propagation
 from tests.conftest import uniform_feature_graph
-from tests.oracles import enumerate_spread_distribution
+from tests.oracles import candidate_pool, enumerate_spread_distribution
 
 
 def test_pool_seed_only(pa_graph_small):
@@ -54,6 +56,34 @@ def test_pool_includes_core_paths_and_top_degree(pa_graph_small):
     assert len(set(pool.nodes)) == len(pool.nodes)
     for c in pool.candidates:
         assert np.linalg.norm(c.vec) == pytest.approx(1.0, abs=1e-9)
+
+
+def _three_components():
+    """Hub 0 with leaves 1-4 holds both core nodes; the path 5-9 has none;
+    node 10 is isolated."""
+    return uniform_feature_graph(11, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4),
+                                      (5, 6), (6, 7), (7, 8), (8, 9)])
+
+
+@pytest.mark.parametrize("graph, seeds", [
+    ("pa60", (0, 17, 59)),
+    ("pa200", (0, 7, 57, 123, 199)),
+    ("components", tuple(range(11))),
+])
+def test_pool_matches_bfs_oracle(graph, seeds, pa_graph_small):
+    g = {"pa60": lambda: build_graph(60, 2, 4, seed=3), "pa200": lambda: pa_graph_small,
+         "components": _three_components}[graph]()
+    if graph == "components":
+        assert set(np.flatnonzero(g.segments == "core")) == {0, 1}
+    for v, K, top_deg, core_targets in itertools.product(seeds, (0, 1, 2, 5), (0, 3, 10),
+                                                         (None, 0, 2, 7)):
+        pool = build_candidate_pool(g, v, K, top_deg, core_targets=core_targets)
+        nodes, expected = candidate_pool(g, v, K, top_deg, core_targets)
+        assert pool.nodes == nodes
+        assert len(pool.candidates) == len(expected)
+        for c, (node, kind, vec) in zip(pool.candidates, expected):
+            assert (c.node, c.kind) == (node, kind)
+            assert c.vec.dtype == vec.dtype and c.vec.tobytes() == vec.tobytes()
 
 
 def test_pool_rejects_bad_inputs(pa_graph_small):
