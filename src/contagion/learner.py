@@ -5,7 +5,9 @@ reconstructed among them. The model scores each node with a logistic
 threshold unit over signed influence weights from active vs inactive
 in-neighbors (sum or degree-mean aggregation), and is fitted by projected
 gradient descent on the negative log-likelihood of trace members and
-cascade-boundary nodes.
+cascade-boundary nodes. Traces are compiled once into a sparse design with a
+row per member or boundary node, so the likelihood, its gradient and the
+accuracy reports are a few array passes.
 """
 
 from __future__ import annotations
@@ -15,8 +17,12 @@ import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InvalidParameter
 
@@ -58,6 +64,18 @@ class CascadeTrace:
         return out
 
 
+class HostCSR(NamedTuple):
+    """In-neighbor CSR of an InfluenceGraph over node numbers 0..n-1."""
+
+    nodes: np.ndarray  # number -> node id (object array)
+    index: dict  # node id -> number
+    indptr: np.ndarray
+    indices: np.ndarray  # in-neighbor numbers, each row in ``in_neighbors`` order
+    owner: np.ndarray  # the node whose row holds each entry of ``indices``
+    pair: np.ndarray  # per entry, the first entry of the same (src, dst) pair
+    str_order: np.ndarray  # node numbers in ``sorted(nodes, key=str)`` order
+
+
 @dataclass(frozen=True)
 class InfluenceGraph:
     """Directed host graph: in_nbrs[v] lists the nodes that can influence v."""
@@ -96,6 +114,36 @@ class InfluenceGraph:
             for src in srcs:
                 yield (src, dst)
 
+    @cached_property
+    def csr(self) -> HostCSR:
+        """The in-neighbor CSR, built on first use and kept with the graph.
+
+        The nodes are numbered in ``in_nbrs`` order, followed by in-neighbors
+        that have no entry of their own (their rows are empty)."""
+        index = {v: i for i, v in enumerate(self.in_nbrs)}
+        for srcs in self.in_nbrs.values():
+            for w in srcs:
+                index.setdefault(w, len(index))
+        degree = np.zeros(len(index), dtype=np.int64)
+        degree[:len(self.in_nbrs)] = [len(srcs) for srcs in self.in_nbrs.values()]
+        indptr = np.concatenate(([0], np.cumsum(degree)))
+        indices = np.fromiter((index[w] for srcs in self.in_nbrs.values() for w in srcs),
+                              dtype=np.int64, count=int(indptr[-1]))
+        owner = np.repeat(np.arange(len(index)), degree)
+        # an in-neighbor listed twice is one parameter, as in the params dict
+        _, first, inverse = np.unique(owner * len(index) + indices, return_index=True,
+                                      return_inverse=True)
+        names = [str(v) for v in index]
+        return HostCSR(
+            nodes=np.fromiter(index, dtype=object, count=len(index)),
+            index=index,
+            indptr=indptr,
+            indices=indices,
+            owner=owner,
+            pair=first[inverse],
+            str_order=np.array(sorted(range(len(index)), key=names.__getitem__), dtype=np.int64),
+        )
+
 
 @dataclass
 class ThresholdModelParams:
@@ -122,19 +170,31 @@ class ThresholdModelParams:
             self.bias[key] = min(self.upper, max(0.0, val))
 
 
+def _clip(values: np.ndarray, upper: float) -> np.ndarray:
+    """Clamp into [0, upper]; adding 0.0 turns -0.0 into 0.0 as ``project`` does."""
+    return np.clip(values, 0.0, upper) + 0.0
+
+
 def init_params(graph: InfluenceGraph, aggregation: str = SUM, rng_seed: int = 0) -> ThresholdModelParams:
-    """Small-Gaussian initialization (mean 0.05, sd 0.01) clamped to the box."""
+    """Small-Gaussian initialization (mean 0.05, sd 0.01) clamped to the box.
+
+    One draw per parameter, dst by dst in str order: its in-neighbor weights,
+    then its bias.
+    """
     if aggregation not in (SUM, MEAN):
         raise InvalidParameter("form", f"unknown aggregation {aggregation!r}")
-    rng = np.random.default_rng(int(rng_seed))
     upper = SUM_BOX if aggregation == SUM else math.inf
-    params = ThresholdModelParams(aggregation=aggregation, influence={}, bias={}, upper=upper)
-    for dst in sorted(graph.nodes(), key=str):
-        for src in graph.in_neighbors(dst):
-            params.influence[(src, dst)] = float(rng.normal(0.05, 0.01))
-        params.bias[dst] = float(rng.normal(0.05, 0.01))
-    params.project()
-    return params
+    dsts = sorted(graph.nodes(), key=str)
+    keys = [(src, dst) for dst in dsts for src in graph.in_neighbors(dst)]
+    draws = _clip(np.random.default_rng(int(rng_seed)).normal(0.05, 0.01, len(keys) + len(dsts)), upper)
+    is_bias = np.zeros(len(draws), dtype=bool)
+    is_bias[np.cumsum([len(graph.in_neighbors(dst)) + 1 for dst in dsts], dtype=np.int64) - 1] = True
+    return ThresholdModelParams(
+        aggregation=aggregation,
+        influence=dict(zip(keys, draws[~is_bias].tolist())),
+        bias=dict(zip(dsts, draws[is_bias].tolist())),
+        upper=upper,
+    )
 
 
 def _sigmoid(z: float) -> float:
@@ -144,32 +204,29 @@ def _sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
-def _raw_score(v, active_set, graph: InfluenceGraph, params: ThresholdModelParams) -> float:
+def predict_activation(v, active_set, graph: InfluenceGraph, params: ThresholdModelParams) -> float:
+    """Activation probability of v given the currently active set."""
+    active = set(active_set)
     in_nbrs = graph.in_neighbors(v)
     signed = 0.0
     for w in in_nbrs:
         weight = params.influence.get((w, v), 0.0)
-        signed += weight if w in active_set else -weight
+        signed += weight if w in active else -weight
     if params.aggregation == MEAN and in_nbrs:
         signed /= len(in_nbrs)
-    return signed + params.bias.get(v, 0.0)
-
-
-def predict_activation(v, active_set, graph: InfluenceGraph, params: ThresholdModelParams) -> float:
-    """Activation probability of v given the currently active set."""
-    return _sigmoid(_raw_score(v, set(active_set), graph, params))
+    return _sigmoid(signed + params.bias.get(v, 0.0))
 
 
 def boundary_nodes(trace: CascadeTrace, graph: InfluenceGraph) -> list:
     """Non-members with at least one member in-neighbor, in deterministic order."""
-    members = set(trace.members)
-    out = []
-    for v in sorted(graph.nodes(), key=str):
-        if v in members:
-            continue
-        if any(w in members for w in graph.in_neighbors(v)):
-            out.append(v)
-    return out
+    host = graph.csr
+    member = np.zeros(len(host.nodes), dtype=bool)
+    ids = np.fromiter(map(host.index.get, trace.members, repeat(-1)), dtype=np.int64,
+                      count=len(trace.members))
+    member[ids[ids >= 0]] = True
+    reached = np.zeros(len(host.nodes), dtype=bool)
+    reached[host.owner[member[host.indices]]] = True
+    return host.nodes[host.str_order[(reached & ~member)[host.str_order]]].tolist()
 
 
 def resolve_boundary_weight(n_members, n_boundary, w_boundary):
@@ -180,6 +237,143 @@ def resolve_boundary_weight(n_members, n_boundary, w_boundary):
     return float(w_boundary)
 
 
+@dataclass(frozen=True)
+class _Design:
+    """Traces compiled into one sparse logistic problem, a row per term.
+
+    Rows run trace by trace: members in member order, then boundary nodes. A
+    row scores its node v against an active set: its influence parents for a
+    member, every member for a boundary node. ``x`` holds +1 at the columns of
+    v's in-edges from active nodes and -1 at its other in-edges, in
+    ``in_neighbors`` order, so ``x @ theta`` adds the signed weights in the
+    order a walk over v's in-neighbors does.
+    """
+
+    x: sp.csr_matrix  # rows x influence_keys, entries +-1
+    n_in: np.ndarray  # |N(v)|, or 1.0 where v has no in-neighbors
+    label: np.ndarray  # 1.0 for members, 0.0 for boundary nodes
+    weight: np.ndarray  # 1.0 for members, the trace's boundary weight otherwise
+    bias_col: np.ndarray  # the row node's position in bias_keys
+    trace: np.ndarray  # the row's trace number
+    has_parent: np.ndarray  # members with at least one influence parent
+    influence_keys: list  # (src, dst) per column of x
+    bias_keys: list
+    trace_ids: list
+
+    def load(self, params: ThresholdModelParams):
+        """(theta, bias) arrays over this design's keys; absent keys read 0.0."""
+        def read(store, keys):
+            return np.array(list(map(store.get, keys, repeat(0.0))), dtype=float)
+
+        return read(params.influence, self.influence_keys), read(params.bias, self.bias_keys)
+
+    def probabilities(self, theta, bias, aggregation):
+        z = self.x @ theta
+        if aggregation == MEAN:
+            z /= self.n_in
+        z += bias[self.bias_col]
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+    def nll(self, p) -> float:
+        """Total NLL: each trace's terms summed in row order, then the traces.
+
+        Probabilities are clamped to [1e-12, 1 - 1e-12] before the log, with
+        one warning per trace that needed it.
+        """
+        member = self.label == 1.0
+        like = np.where(member, np.maximum(p, PROB_FLOOR), 1.0 - np.minimum(p, 1.0 - PROB_FLOOR))
+        per_trace = 0.0 - np.bincount(self.trace, self.weight * np.log(like), len(self.trace_ids))
+        clamped = np.bincount(self.trace[np.where(member, p < PROB_FLOOR, p > 1.0 - PROB_FLOOR)],
+                              minlength=len(self.trace_ids))
+        for t in np.flatnonzero(clamped):
+            logger.warning("trace %s: clamped %d saturated probabilities", self.trace_ids[t],
+                           int(clamped[t]))
+        return float(np.cumsum(per_trace)[-1]) if len(per_trace) else 0.0
+
+    def nll_and_grad(self, theta, bias, aggregation):
+        """Total NLL and its gradients in theta and bias."""
+        p = self.probabilities(theta, bias, aggregation)
+        dz = (p - self.label) * self.weight
+        scaled = dz * (1.0 / self.n_in) if aggregation == MEAN else dz
+        return self.nll(p), self.x.T @ scaled, np.bincount(self.bias_col, dz, len(self.bias_keys))
+
+
+def _renumber(ids, size):
+    """(the distinct ids in ascending order, each id's position among them)."""
+    used = np.zeros(size, dtype=bool)
+    used[ids] = True
+    return np.flatnonzero(used), (np.cumsum(used) - 1)[ids]
+
+
+def _compile(traces, graph: InfluenceGraph, w_boundary="balanced") -> _Design:
+    """The design of ``traces`` on ``graph``; calls ``boundary_nodes`` once per trace."""
+    host = graph.csr
+    n_host = len(host.nodes)
+    boundary, wb = [], []
+    counts = np.zeros((3, len(traces)), dtype=np.int64)  # members, boundary nodes, edges
+    for t, trace in enumerate(traces):
+        outside = boundary_nodes(trace, graph)
+        boundary += outside
+        wb.append(resolve_boundary_weight(len(trace.members), len(outside), w_boundary))
+        counts[:, t] = len(trace.members), len(outside), len(trace.edges)
+    members = list(chain.from_iterable(trace.members for trace in traces))
+    ends = list(chain.from_iterable(chain.from_iterable(trace.edges for trace in traces)))
+    # members outside the host are numbered after it, in order of appearance
+    strangers = set(members).difference(host.index)
+    extra = [v for v in dict.fromkeys(members) if v in strangers] if strangers else []
+    index = {**host.index, **{v: n_host + i for i, v in enumerate(extra)}} if extra else host.index
+    n_all = n_host + len(extra)
+    m_node, b_node, ends = (np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
+                            for ids in (members, boundary, ends))
+    srcs, dsts = ends[0::2], ends[1::2]
+    trace_no = np.arange(len(traces))
+    m_trace, b_trace, e_trace = (np.repeat(trace_no, c) for c in counts)
+
+    # A key (owner, src) names an active in-neighbor src. The owner is the
+    # member's number for a member row and len(members) + trace for a
+    # boundary row, whose active set is the trace's members.
+    m_key = m_trace * n_all + m_node
+    by_key = np.argsort(m_key)
+    e_member = by_key[np.searchsorted(m_key, e_trace * n_all + dsts, sorter=by_key)]
+    active_keys = np.concatenate((e_member * n_all + srcs,
+                                  m_key + len(members) * n_all))
+
+    # rows trace by trace, members before boundary nodes (lexsort is stable)
+    is_member = np.arange(len(members) + len(boundary)) < len(members)
+    row_trace = np.concatenate((m_trace, b_trace))
+    order = np.lexsort((~is_member, row_trace))
+    node = np.concatenate((m_node, b_node))[order]
+    owner = np.concatenate((np.arange(len(members)), len(members) + b_trace))[order]
+    is_member, row_trace = is_member[order], row_trace[order]
+    has_parent = np.concatenate((np.bincount(e_member, minlength=len(members)) > 0,
+                                 np.zeros(len(boundary), dtype=bool)))[order]
+
+    bounds = np.concatenate((host.indptr, np.full(len(extra), host.indptr[-1])))  # outsiders: no in-edges
+    row_degree = np.diff(bounds)[node]
+    indptr = np.concatenate(([0], np.cumsum(row_degree)))
+    # each entry's position in the host CSR: a row's node's in-edges, in order
+    pos = np.arange(indptr[-1]) + np.repeat(bounds[node] - indptr[:-1], row_degree)
+    src = host.indices[pos]
+    active = np.isin(np.repeat(owner, row_degree) * n_all + src, active_keys)
+    edges, col = _renumber(host.pair[pos], len(host.indices))
+    bias_nodes, bias_col = _renumber(node, n_all)
+    names = np.concatenate((host.nodes, np.fromiter(extra, dtype=object, count=len(extra))))
+    return _Design(
+        x=sp.csr_matrix((np.where(active, 1.0, -1.0), col, indptr), shape=(len(node), len(edges))),
+        n_in=np.maximum(row_degree, 1).astype(float),
+        label=is_member.astype(float),
+        weight=np.where(is_member, 1.0, np.array(wb, dtype=float)[row_trace]),
+        bias_col=bias_col,
+        trace=row_trace,
+        has_parent=has_parent,
+        influence_keys=list(zip(host.nodes[host.indices[edges]].tolist(),
+                                host.nodes[host.owner[edges]].tolist())),
+        bias_keys=names[bias_nodes].tolist(),
+        trace_ids=[trace.trace_id for trace in traces],
+    )
+
+
 def trace_nll(trace: CascadeTrace, graph: InfluenceGraph, params: ThresholdModelParams,
               w_boundary="balanced") -> float:
     """Negative log-likelihood of one trace.
@@ -188,65 +382,17 @@ def trace_nll(trace: CascadeTrace, graph: InfluenceGraph, params: ThresholdModel
     boundary nodes are scored against the full member set. Probabilities are
     clamped to [1e-12, 1 - 1e-12] before the log.
     """
-    loss, _, _, _ = _trace_terms(trace, graph, params, w_boundary)
-    return loss
-
-
-def _trace_terms(trace, graph, params, w_boundary):
-    boundary = boundary_nodes(trace, graph)
-    wb = resolve_boundary_weight(len(trace.members), len(boundary), w_boundary)
-    parents = trace.parents()
-    clamped = 0
-    loss = 0.0
-    member_scores = []
-    for v in trace.members:
-        p = predict_activation(v, parents.get(v, ()), graph, params)
-        member_scores.append((v, frozenset(parents.get(v, ())), p))
-        if p < PROB_FLOOR:
-            p = PROB_FLOOR
-            clamped += 1
-        loss -= math.log(p)
-    boundary_scores = []
-    members = frozenset(trace.members)
-    for u in boundary:
-        p = predict_activation(u, members, graph, params)
-        boundary_scores.append((u, members, p))
-        if p > 1.0 - PROB_FLOOR:
-            p = 1.0 - PROB_FLOOR
-            clamped += 1
-        loss -= wb * math.log(1.0 - p)
-    if clamped:
-        logger.warning("trace %s: clamped %d saturated probabilities", trace.trace_id, clamped)
-    return loss, member_scores, boundary_scores, wb
+    design = _compile([trace], graph, w_boundary)
+    return design.nll(design.probabilities(*design.load(params), params.aggregation))
 
 
 def nll_and_grad(traces, graph: InfluenceGraph, params: ThresholdModelParams,
                  w_boundary="balanced"):
     """Total NLL over traces plus analytic gradients for influence and bias."""
-    grad_i = defaultdict(float)
-    grad_b = defaultdict(float)
-    total = 0.0
-    for trace in traces:
-        loss, member_scores, boundary_scores, wb = _trace_terms(trace, graph, params, w_boundary)
-        total += loss
-        for v, active, p in member_scores:
-            dz = p - 1.0  # d(-log sigma(z))/dz
-            _accumulate(grad_i, grad_b, graph, params, v, active, dz)
-        for u, active, p in boundary_scores:
-            dz = wb * p  # d(-log(1 - sigma(z)))/dz
-            _accumulate(grad_i, grad_b, graph, params, u, active, dz)
-    return total, dict(grad_i), dict(grad_b)
-
-
-def _accumulate(grad_i, grad_b, graph, params, v, active_set, dz):
-    in_nbrs = graph.in_neighbors(v)
-    scale = 1.0
-    if params.aggregation == MEAN and in_nbrs:
-        scale = 1.0 / len(in_nbrs)
-    for w in in_nbrs:
-        sign = 1.0 if w in active_set else -1.0
-        grad_i[(w, v)] += dz * sign * scale
-    grad_b[v] += dz
+    design = _compile(traces, graph, w_boundary)
+    loss, grad_i, grad_b = design.nll_and_grad(*design.load(params), params.aggregation)
+    return (loss, dict(zip(design.influence_keys, grad_i.tolist())),
+            dict(zip(design.bias_keys, grad_b.tolist())))
 
 
 def prefix_subcascades(trace: CascadeTrace) -> list:
@@ -286,29 +432,31 @@ def fit(traces, graph: InfluenceGraph, init: ThresholdModelParams, steps: int,
         lr: float, w_boundary="balanced", augment: bool = False) -> FitResult:
     """Projected gradient descent on the cascade NLL.
 
-    Each iteration takes a full-batch gradient step then clamps parameters
-    into their box. If the loss rises for 10 consecutive iterations the
-    learning rate is halved. A non-finite loss aborts.
+    The traces are compiled once. Each iteration takes a full-batch gradient
+    step then clamps parameters into their box. If the loss rises for 10
+    consecutive iterations the learning rate is halved. A non-finite loss
+    aborts. The fitted params hold the keys of ``init`` plus every key the
+    traces touch.
     """
-    if lr <= 0:
-        raise InvalidParameter("lr", f"learning rate must be > 0, got {lr}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise InvalidParameter("lr", f"learning rate must be finite and > 0, got {lr}")
+    if steps < 0:
+        raise InvalidParameter("steps", f"must be >= 0, got {steps}")
     work = augment_with_prefixes(traces) if augment else list(traces)
-    params = init.copy()
+    design = _compile(work, graph, w_boundary)
+    theta, bias = design.load(init)
     losses = []
     lr_history = []
-    loss, gi, gb = nll_and_grad(work, graph, params, w_boundary)
+    loss, g_theta, g_bias = design.nll_and_grad(theta, bias, init.aggregation)
     losses.append(loss)
     rising = 0
     for it in range(steps):
         if not math.isfinite(loss):
             raise FloatingPointError(f"non-finite loss at iteration {it}")
-        for key, grad in gi.items():
-            params.influence[key] = params.influence.get(key, 0.0) - lr * grad
-        for key, grad in gb.items():
-            params.bias[key] = params.bias.get(key, 0.0) - lr * grad
-        params.project()
+        theta = _clip(theta - lr * g_theta, init.upper)
+        bias = _clip(bias - lr * g_bias, init.upper)
         lr_history.append(lr)
-        new_loss, gi, gb = nll_and_grad(work, graph, params, w_boundary)
+        new_loss, g_theta, g_bias = design.nll_and_grad(theta, bias, init.aggregation)
         if new_loss > loss:
             rising += 1
             if rising >= 10:
@@ -319,6 +467,11 @@ def fit(traces, graph: InfluenceGraph, init: ThresholdModelParams, steps: int,
             rising = 0
         loss = new_loss
         losses.append(loss)
+    params = init.copy()
+    if steps:
+        params.project()  # the keys no trace touches are clamped by every step too
+        params.influence.update(zip(design.influence_keys, theta.tolist()))
+        params.bias.update(zip(design.bias_keys, bias.tolist()))
     return FitResult(params=params, losses=tuple(losses), lr_history=tuple(lr_history))
 
 
@@ -401,6 +554,8 @@ def traces_from_records(records, g, id_prefix="run") -> list:
 
 def split_traces(traces, test_fraction: float = 0.2, rng_seed: int = 0):
     """Deterministic by-trace train/test split."""
+    if not 0.0 <= test_fraction <= 1.0:
+        raise InvalidParameter("test-fraction", f"must be in [0, 1], got {test_fraction}")
     order = sorted(range(len(traces)), key=lambda i: traces[i].trace_id)
     rng = np.random.default_rng(int(rng_seed))
     rng.shuffle(order)
@@ -412,21 +567,12 @@ def split_traces(traces, test_fraction: float = 0.2, rng_seed: int = 0):
 
 
 def _category_outcomes(traces, graph, params):
-    """Per-category (prediction correctness) streams for accuracy reports."""
-    member_hits = []
-    boundary_hits = []
-    for trace in traces:
-        parents = trace.parents()
-        members = frozenset(trace.members)
-        for v in trace.members:
-            if not parents.get(v):
-                continue  # seed-like member, nothing to predict from
-            p = predict_activation(v, parents[v], graph, params)
-            member_hits.append(p > 0.5)  # true state: active
-        for u in boundary_nodes(trace, graph):
-            p = predict_activation(u, members, graph, params)
-            boundary_hits.append(p <= 0.5)  # true state: inactive; ties predict inactive
-    return member_hits, boundary_hits
+    """Per-category hit arrays for accuracy reports: members with an
+    influence parent predicted active (seed-like members have nothing to
+    predict from), boundary nodes predicted inactive (ties predict inactive)."""
+    design = _compile(traces, graph)
+    p = design.probabilities(*design.load(params), params.aggregation)
+    return p[design.has_parent] > 0.5, p[design.label == 0.0] <= 0.5
 
 
 def evaluate(train_traces, test_traces, graph: InfluenceGraph,
@@ -439,8 +585,8 @@ def evaluate(train_traces, test_traces, graph: InfluenceGraph,
     for name, traces in (("train", train_traces), ("test", test_traces)):
         member_hits, boundary_hits = _category_outcomes(traces, graph, params)
         report[name] = {
-            "active_nonseeds": float(np.mean(member_hits)) if member_hits else None,
-            "boundary": float(np.mean(boundary_hits)) if boundary_hits else None,
+            "active_nonseeds": float(np.mean(member_hits)) if len(member_hits) else None,
+            "boundary": float(np.mean(boundary_hits)) if len(boundary_hits) else None,
             "n_active_nonseeds": len(member_hits),
             "n_boundary": len(boundary_hits),
         }
@@ -454,7 +600,7 @@ def activation_state_accuracy(traces, graph: InfluenceGraph, params: ThresholdMo
     total = len(member_hits) + len(boundary_hits)
     if total == 0:
         raise InvalidParameter("traces", "no evaluable nodes")
-    accuracy = (sum(member_hits) + sum(boundary_hits)) / total
+    accuracy = int(np.count_nonzero(member_hits) + np.count_nonzero(boundary_hits)) / total
     majority = max(len(member_hits), len(boundary_hits)) / total
     return accuracy, majority, {"active_nonseeds": len(member_hits), "boundary": len(boundary_hits)}
 

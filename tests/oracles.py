@@ -6,6 +6,7 @@ touching the vectorized simulation path it is checking.
 """
 
 import itertools
+import math
 from collections import defaultdict, deque
 
 import numpy as np
@@ -335,3 +336,148 @@ def reference_cascade(g, c, seeds, params, rng_seed):
         new_per_step.append(len(new_nodes))
     return (activation_time, np.array(new_per_step, dtype=np.int64), count, step,
             stable < params.epsilon, draws)
+
+
+# ---------------------------------------------------------------------------
+# learner: the dict walks the compiled design replaced
+
+
+def learner_init_params(graph, aggregation, rng_seed):
+    """One scalar normal draw per parameter, dst by dst in str order."""
+    from contagion.learner import SUM, SUM_BOX, ThresholdModelParams
+
+    rng = np.random.default_rng(int(rng_seed))
+    upper = SUM_BOX if aggregation == SUM else float("inf")
+    params = ThresholdModelParams(aggregation=aggregation, influence={}, bias={}, upper=upper)
+    for dst in sorted(graph.nodes(), key=str):
+        for src in graph.in_neighbors(dst):
+            params.influence[(src, dst)] = float(rng.normal(0.05, 0.01))
+        params.bias[dst] = float(rng.normal(0.05, 0.01))
+    params.project()
+    return params
+
+
+def learner_boundary_nodes(trace, graph):
+    """Non-members with a member in-neighbor, scanning every host node."""
+    members = set(trace.members)
+    return [v for v in sorted(graph.nodes(), key=str)
+            if v not in members and any(w in members for w in graph.in_neighbors(v))]
+
+
+def learner_raw_score(v, active, graph, params):
+    from contagion.learner import MEAN
+
+    in_nbrs = graph.in_neighbors(v)
+    signed = 0.0
+    for w in in_nbrs:
+        weight = params.influence.get((w, v), 0.0)
+        signed += weight if w in active else -weight
+    if params.aggregation == MEAN and in_nbrs:
+        signed /= len(in_nbrs)
+    return signed + params.bias.get(v, 0.0)
+
+
+def learner_probability(v, active, graph, params):
+    z = learner_raw_score(v, set(active), graph, params)
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
+
+
+def learner_nll_and_grad(traces, graph, params, w_boundary="balanced"):
+    """Total NLL and gradient dicts, one term at a time; logs the same
+    per-trace clamp warnings as the learner."""
+    from contagion.learner import MEAN, PROB_FLOOR, logger, resolve_boundary_weight
+
+    grad_i = defaultdict(float)
+    grad_b = defaultdict(float)
+
+    def accumulate(v, active, dz):
+        in_nbrs = graph.in_neighbors(v)
+        scale = 1.0 / len(in_nbrs) if params.aggregation == MEAN and in_nbrs else 1.0
+        for w in in_nbrs:
+            grad_i[(w, v)] += dz * (1.0 if w in active else -1.0) * scale
+        grad_b[v] += dz
+
+    total = 0.0
+    for trace in traces:
+        boundary = learner_boundary_nodes(trace, graph)
+        wb = resolve_boundary_weight(len(trace.members), len(boundary), w_boundary)
+        parents = trace.parents()
+        members = frozenset(trace.members)
+        clamped = 0
+        loss = 0.0
+        for v in trace.members:
+            p = learner_probability(v, parents.get(v, ()), graph, params)
+            accumulate(v, frozenset(parents.get(v, ())), p - 1.0)
+            if p < PROB_FLOOR:
+                p = PROB_FLOOR
+                clamped += 1
+            loss -= math.log(p)
+        for u in boundary:
+            p = learner_probability(u, members, graph, params)
+            accumulate(u, members, wb * p)
+            if p > 1.0 - PROB_FLOOR:
+                p = 1.0 - PROB_FLOOR
+                clamped += 1
+            loss -= wb * math.log(1.0 - p)
+        if clamped:
+            logger.warning("trace %s: clamped %d saturated probabilities", trace.trace_id, clamped)
+        total += loss
+    return total, dict(grad_i), dict(grad_b)
+
+
+def learner_fit(traces, graph, init, steps, lr, w_boundary="balanced", augment=False):
+    """Projected gradient descent on ``learner_nll_and_grad`` over param dicts;
+    returns (params, losses, lr_history)."""
+    from contagion.learner import augment_with_prefixes, logger
+
+    work = augment_with_prefixes(traces) if augment else list(traces)
+    params = init.copy()
+    losses, lr_history = [], []
+    loss, gi, gb = learner_nll_and_grad(work, graph, params, w_boundary)
+    losses.append(loss)
+    rising = 0
+    for it in range(steps):
+        if not math.isfinite(loss):
+            raise FloatingPointError(f"non-finite loss at iteration {it}")
+        for key, grad in gi.items():
+            params.influence[key] = params.influence.get(key, 0.0) - lr * grad
+        for key, grad in gb.items():
+            params.bias[key] = params.bias.get(key, 0.0) - lr * grad
+        params.project()
+        lr_history.append(lr)
+        new_loss, gi, gb = learner_nll_and_grad(work, graph, params, w_boundary)
+        if new_loss > loss:
+            rising += 1
+            if rising >= 10:
+                lr /= 2.0
+                rising = 0
+                logger.warning("loss rising for 10 iterations; lr halved to %g", lr)
+        else:
+            rising = 0
+        loss = new_loss
+        losses.append(loss)
+    return params, losses, lr_history
+
+
+def learner_evaluate(train_traces, test_traces, graph, params):
+    """Activation-state accuracy report, one prediction at a time."""
+    report = {}
+    for name, traces in (("train", train_traces), ("test", test_traces)):
+        member_hits, boundary_hits = [], []
+        for trace in traces:
+            parents = trace.parents()
+            for v in trace.members:
+                if parents.get(v):
+                    member_hits.append(learner_probability(v, parents[v], graph, params) > 0.5)
+            for u in learner_boundary_nodes(trace, graph):
+                boundary_hits.append(learner_probability(u, trace.members, graph, params) <= 0.5)
+        report[name] = {
+            "active_nonseeds": float(np.mean(member_hits)) if member_hits else None,
+            "boundary": float(np.mean(boundary_hits)) if boundary_hits else None,
+            "n_active_nonseeds": len(member_hits),
+            "n_boundary": len(boundary_hits),
+        }
+    return report

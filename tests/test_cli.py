@@ -417,6 +417,30 @@ def test_learn_and_eval_cli(tmp_path):
     assert "train" in rep and "test" in rep
 
 
+@pytest.mark.parametrize("arg, field", [("--lr=nan", "lr"), ("--lr=inf", "lr"),
+                                        ("--lr=-inf", "lr"), ("--steps=-5", "steps")])
+def test_learn_rejects_non_finite_lr_and_negative_steps(tmp_path, capsys, arg, field):
+    trust, ratings = _learner_logs(tmp_path)
+    model = tmp_path / "model.json"
+    assert run_cli("learn", "--trust", str(trust), "--ratings", str(ratings), arg,
+                   "--out", str(model)) == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("value", ["-0.3", "1.5", "nan"])
+def test_learn_eval_rejects_test_fraction_outside_unit_interval(tmp_path, capsys, value):
+    trust, ratings = _learner_logs(tmp_path)
+    model = tmp_path / "model.json"
+    assert run_cli("learn", "--trust", str(trust), "--ratings", str(ratings), "--steps", "2",
+                   "--out", str(model)) == 0
+    report = tmp_path / "eval.json"
+    assert run_cli("learn-eval", "--model", str(model), "--trust", str(trust), "--ratings",
+                   str(ratings), f"--test-fraction={value}", "--out", str(report)) == 2
+    assert "error: test-fraction: " in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_optimize_cli(graph_file, tmp_path):
     out = tmp_path / "best.json"
     code = run_cli("optimize", "--graph", str(graph_file), "--seed-node", "50",
