@@ -39,8 +39,7 @@ from .experiments import (
 )
 from .learner import (
     InfluenceGraph,
-    activation_state_accuracy,
-    evaluate,
+    evaluation_report,
     fit,
     init_params,
     load_model,
@@ -262,6 +261,9 @@ class Done(NamedTuple):
 
 def _write(path: Path, content) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
+    # replace, never truncate: ext4 starts writing a truncated file back when
+    # it is closed (``auto_da_alloc``), and truncating it again waits for that
+    path.unlink(missing_ok=True)
     if callable(content):
         content(path)
     elif isinstance(content, str):
@@ -414,8 +416,8 @@ def cmd_netgen(opts) -> Done:
     feats = g.features
     return Done({out: partial(save_graph, g)}, f"wrote {out}: n={n} edges={len(g.raw.edges)} k={k}",
                 metrics={"solver": feats.solver, "max_residual": feats.max_residual,
-                         "warnings": list(feats.warnings), "blas_threads": blas_threads(),
-                         "blas_cores": blas_cores()})
+                         "min_eigengap": feats.min_eigengap, "warnings": list(feats.warnings),
+                         "blas_threads": blas_threads(), "blas_cores": blas_cores()})
 
 
 @command
@@ -604,11 +606,7 @@ def cmd_learn_eval(opts) -> Done:
 
     params = load_model(model_path, int_ids=int_ids)
     train, test = split_traces(traces, test_fraction, rng_seed=split_seed)
-    report = evaluate(train, test, host, params)
-    if test:
-        acc, majority, counts = activation_state_accuracy(test, host, params)
-        report["test_pooled"] = {"accuracy": acc, "majority_baseline": majority, **counts}
-    return Done({out: report}, f"wrote {out}")
+    return Done({out: evaluation_report(train, test, host, params)}, f"wrote {out}")
 
 
 @command

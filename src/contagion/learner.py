@@ -575,34 +575,52 @@ def _category_outcomes(traces, graph, params):
     return p[design.has_parent] > 0.5, p[design.label == 0.0] <= 0.5
 
 
-def evaluate(train_traces, test_traces, graph: InfluenceGraph,
-             params: ThresholdModelParams) -> dict:
-    """Activation-state accuracy for active non-seeds and boundary nodes.
-
-    Empty categories are reported as None rather than zero.
-    """
-    report = {}
-    for name, traces in (("train", train_traces), ("test", test_traces)):
-        member_hits, boundary_hits = _category_outcomes(traces, graph, params)
-        report[name] = {
-            "active_nonseeds": float(np.mean(member_hits)) if len(member_hits) else None,
-            "boundary": float(np.mean(boundary_hits)) if len(boundary_hits) else None,
-            "n_active_nonseeds": len(member_hits),
-            "n_boundary": len(boundary_hits),
-        }
-    return report
+def _category_report(member_hits, boundary_hits) -> dict:
+    return {
+        "active_nonseeds": float(np.mean(member_hits)) if len(member_hits) else None,
+        "boundary": float(np.mean(boundary_hits)) if len(boundary_hits) else None,
+        "n_active_nonseeds": len(member_hits),
+        "n_boundary": len(boundary_hits),
+    }
 
 
-def activation_state_accuracy(traces, graph: InfluenceGraph, params: ThresholdModelParams):
-    """Pooled accuracy over active non-seeds plus boundary nodes, with the
-    majority-class baseline of the same population."""
-    member_hits, boundary_hits = _category_outcomes(traces, graph, params)
+def _pooled_accuracy(member_hits, boundary_hits):
     total = len(member_hits) + len(boundary_hits)
     if total == 0:
         raise InvalidParameter("traces", "no evaluable nodes")
     accuracy = int(np.count_nonzero(member_hits) + np.count_nonzero(boundary_hits)) / total
     majority = max(len(member_hits), len(boundary_hits)) / total
     return accuracy, majority, {"active_nonseeds": len(member_hits), "boundary": len(boundary_hits)}
+
+
+def evaluate(train_traces, test_traces, graph: InfluenceGraph,
+             params: ThresholdModelParams) -> dict:
+    """Activation-state accuracy for active non-seeds and boundary nodes.
+
+    Empty categories are reported as None rather than zero.
+    """
+    return {name: _category_report(*_category_outcomes(traces, graph, params))
+            for name, traces in (("train", train_traces), ("test", test_traces))}
+
+
+def activation_state_accuracy(traces, graph: InfluenceGraph, params: ThresholdModelParams):
+    """Pooled accuracy over active non-seeds plus boundary nodes, with the
+    majority-class baseline of the same population."""
+    return _pooled_accuracy(*_category_outcomes(traces, graph, params))
+
+
+def evaluation_report(train_traces, test_traces, graph: InfluenceGraph,
+                      params: ThresholdModelParams) -> dict:
+    """``evaluate``'s report plus, for a non-empty test split, its
+    ``activation_state_accuracy`` under ``test_pooled``; each split is
+    compiled once."""
+    hits = {name: _category_outcomes(traces, graph, params)
+            for name, traces in (("train", train_traces), ("test", test_traces))}
+    report = {name: _category_report(*split) for name, split in hits.items()}
+    if test_traces:
+        accuracy, majority, counts = _pooled_accuracy(*hits["test"])
+        report["test_pooled"] = {"accuracy": accuracy, "majority_baseline": majority, **counts}
+    return report
 
 
 def save_model(params: ThresholdModelParams, path) -> None:

@@ -35,6 +35,9 @@ DENSE_EIGH_MAX_N = 1000
 _SHIFT = -1e-3
 # BFS sources per batch in diameter: bounds the (sources, n) distance block.
 _BFS_BATCH_CELLS = 1 << 21
+# spectral_embed warns when two of its k eigenvalues lie closer than this:
+# their eigenvectors, and so the feature rows, are then not well defined.
+MIN_EIGENGAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,7 @@ class FeatureMatrix:
     eigenvalues: np.ndarray | None = None  # (k,) ascending
     basis: np.ndarray | None = None  # (n, k) unit columns, pre row-normalization
     max_residual: float = 0.0  # max_j ||L q_j - lambda_j q_j||_2
+    min_eigengap: float | None = None  # smallest gap among the k eigenvalues; None for k = 1
     warnings: tuple = ()
     solver: str | None = None  # "dense" or "sparse"; None when not computed here
 
@@ -142,6 +146,9 @@ def generate_pa(n: int, r: int, rng_seed: int) -> RawGraph:
     if n <= r:
         raise InvalidParameter("nodes", f"need more than attach={r} nodes, got {n}")
     rng = np.random.default_rng(int(rng_seed))
+    # every arrival's r uniforms in one block: the same doubles, in the same
+    # order, as one scalar draw each
+    uniforms = iter(rng.random(r * (n - r - 1)).tolist())
 
     edges = [(i, j) for i in range(r + 1) for j in range(i + 1, r + 1)]
     degree = [r] * (r + 1) + [0] * (n - r - 1)
@@ -149,10 +156,11 @@ def generate_pa(n: int, r: int, rng_seed: int) -> RawGraph:
     total = r * (r + 1)
     top = 1 << (int(n).bit_length() - 1)
 
+    # the Fenwick adds are inlined: a call per add costs more than the add
     for v in range(r + 1, n):
         targets = []
         for _ in range(r):
-            u = rng.random() * total
+            u = next(uniforms) * total
             # largest prefix length whose degree sum is <= u: that prefix
             # ends just before the first node whose cumulative sum exceeds u
             t, acc, step = 0, 0, top
@@ -164,15 +172,24 @@ def generate_pa(n: int, r: int, rng_seed: int) -> RawGraph:
             t = min(t, v - 1)
             targets.append(t)
             # drawn without replacement: t is out of the urn until v is placed
-            _fenwick_add(tree, t, -degree[t])
-            total -= degree[t]
+            i, delta = t + 1, -degree[t]
+            while i <= n:
+                tree[i] += delta
+                i += i & -i
+            total += delta
         for t in targets:
             edges.append((t, v))
             degree[t] += 1
-            _fenwick_add(tree, t, degree[t])
-            total += degree[t]
+            i, delta = t + 1, degree[t]
+            while i <= n:
+                tree[i] += delta
+                i += i & -i
+            total += delta
         degree[v] = r
-        _fenwick_add(tree, v, r)
+        i = v + 1
+        while i <= n:
+            tree[i] += r
+            i += i & -i
         total += r
 
     return _finish_raw(n, edges)
@@ -186,13 +203,6 @@ def _fenwick(values) -> list:
         if parent < len(tree):
             tree[parent] += tree[i]
     return tree
-
-
-def _fenwick_add(tree: list, i: int, delta: int) -> None:
-    i += 1
-    while i < len(tree):
-        tree[i] += delta
-        i += i & -i
 
 
 def _finish_raw(n: int, edge_pairs) -> RawGraph:
@@ -229,6 +239,9 @@ def spectral_embed(g: RawGraph, k: int) -> FeatureMatrix:
     Graphs of at most ``DENSE_EIGH_MAX_N`` nodes, and any k ARPACK cannot
     serve (k >= n - 1), use dense ``eigh``; larger ones use shift-invert
     Lanczos on the sparse Laplacian, whose rows agree with dense to ~1e-12.
+
+    Records the smallest gap among the k eigenvalues and warns below
+    ``MIN_EIGENGAP``. The gap to the (k+1)-th eigenvalue is not computed.
     """
     if k < 1 or k > g.n:
         raise InvalidParameter("embed_dim", f"need 1 <= k <= {g.n}, got {k}")
@@ -255,6 +268,12 @@ def spectral_embed(g: RawGraph, k: int) -> FeatureMatrix:
             vecs[:, j] = -col
 
     residual = float(np.linalg.norm(lap @ vecs - vecs * vals, axis=0).max())
+    gap = float(np.diff(vals).min()) if k > 1 else None
+    if gap is not None and gap < MIN_EIGENGAP:
+        msg = (f"smallest gap among the {k} smallest Laplacian eigenvalues is {gap:.3g}, "
+               f"below {MIN_EIGENGAP:g}; their eigenvectors are not well defined")
+        logger.warning(msg)
+        warnings += (msg,)
 
     row_norms = np.linalg.norm(vecs, axis=1)
     if np.any(row_norms < 1e-12):
@@ -265,6 +284,7 @@ def spectral_embed(g: RawGraph, k: int) -> FeatureMatrix:
         eigenvalues=vals,
         basis=vecs,
         max_residual=residual,
+        min_eigengap=gap,
         warnings=warnings,
         solver=solver,
     )
@@ -388,20 +408,19 @@ def make_unit_features(rows) -> FeatureMatrix:
 
 def save_graph(g: WeightedGraph, path) -> None:
     """Serialize to the toolkit's JSON graph schema."""
+    edges = g.raw.edges.tolist()
     doc = {
         "n": g.n,
         "r": g.meta.get("r"),
         "seed": g.meta.get("seed"),
-        "edges": [[int(a), int(b)] for a, b in g.raw.edges],
-        "features": [[float(x) for x in row] for row in g.features.rows],
-        "weights": [
-            [int(a), int(b), float(w)]
-            for (a, b), w in zip(g.raw.edges, g.edge_weights)
-        ],
-        "segments": [str(s) for s in g.segments],
+        "edges": edges,
+        "features": g.features.rows.tolist(),
+        "weights": [[a, b, w] for (a, b), w in zip(edges, g.edge_weights.tolist())],
+        "segments": g.segments.tolist(),
     }
+    # json.dumps encodes in C; json.dump always takes the pure-Python encoder
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
         fh.write("\n")
 
 

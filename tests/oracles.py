@@ -6,6 +6,7 @@ touching the vectorized simulation path it is checking.
 """
 
 import itertools
+import json
 import math
 from collections import defaultdict, deque
 
@@ -122,6 +123,26 @@ def pa_edges_cumsum(n: int, r: int, rng_seed: int) -> np.ndarray:
         degree[v] = r
     edges = np.sort(np.asarray(edges, dtype=np.int64), axis=1)
     return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+
+
+def save_graph_reference(g, path) -> None:
+    """The graph JSON encoded element by element through ``json.dump``'s
+    pure-Python encoder; ``netgen.save_graph`` must write the same bytes."""
+    doc = {
+        "n": g.n,
+        "r": g.meta.get("r"),
+        "seed": g.meta.get("seed"),
+        "edges": [[int(a), int(b)] for a, b in g.raw.edges],
+        "features": [[float(x) for x in row] for row in g.features.rows],
+        "weights": [
+            [int(a), int(b), float(w)]
+            for (a, b), w in zip(g.raw.edges, g.edge_weights)
+        ],
+        "segments": [str(s) for s in g.segments],
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
 
 
 def diameter_all_sources(n: int, edges) -> int:

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from contagion import cli
+from contagion import cli, learner
 from contagion.cli import dispatch, read_csv_table, write_csv
 from contagion.errors import InvalidParameter
 
@@ -41,7 +42,50 @@ def test_netgen_manifest_reports_embedding(tmp_path, nodes, solver):
     metrics = json.loads((tmp_path / "manifest.json").read_text())["metrics"]
     assert metrics["solver"] == solver
     assert 0.0 <= metrics["max_residual"] <= 1e-8
+    assert metrics["min_eigengap"] > 1e-8
     assert metrics["warnings"] == []
+
+
+def test_netgen_manifest_warns_on_repeated_eigenvalue(tmp_path):
+    # the 4-node graph is K4 minus an edge, spectrum {0, 2, 4, 4}
+    assert run_cli("netgen", "--nodes", "4", "--attach", "2", "--embed-dim", "4",
+                   "--out", str(tmp_path / "g.json")) == 0
+    metrics = json.loads((tmp_path / "manifest.json").read_text())["metrics"]
+    assert metrics["solver"] == "dense"
+    assert 0.0 <= metrics["min_eigengap"] < 1e-8
+    assert len(metrics["warnings"]) == 1 and "gap" in metrics["warnings"][0]
+
+
+def test_outputs_replace_hard_linked_files(tmp_path):
+    # an output path that is a hard link gets a new file; the other name
+    # keeps its bytes, for the graph and for the manifest alike
+    keep = {name: tmp_path / f"keep_{name}" for name in ("graph.json", "manifest.json")}
+    for name, other in keep.items():
+        other.write_text(f"keep {name}\n")
+        os.link(other, tmp_path / name)
+    assert run_cli("netgen", "--nodes", "30", "--embed-dim", "3",
+                   "--out", str(tmp_path / "graph.json")) == 0
+    for name, other in keep.items():
+        assert other.read_text() == f"keep {name}\n"
+        assert os.stat(tmp_path / name).st_nlink == 1
+    assert json.loads((tmp_path / "graph.json").read_text())["n"] == 30
+    assert json.loads((tmp_path / "manifest.json").read_text())["command"] == "netgen"
+
+
+def test_chain_twice_into_one_directory(tmp_path):
+    graph, runs, report = (tmp_path / name for name in ("graph.json", "runs.jsonl", "report.json"))
+    chain = [["netgen", "--nodes", "60", "--embed-dim", "4", "--seed", "3", "--out", graph],
+             ["simulate", "--graph", graph, "--seeds", "0", "--runs", "4", "--epsilon", "3",
+              "--lambda", "0.2", "--out", runs],
+             ["analyze", "--runs", runs, "--graph", graph, "--report", report]]
+    written = []
+    for _ in range(2):
+        for argv in chain:
+            assert run_cli(*map(str, argv)) == 0
+        written.append([p.read_bytes() for p in (graph, runs, report)])
+    assert written[0] == written[1]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["command"] == "analyze" and manifest["outputs"] == [str(report)]
 
 
 def test_netgen_rejects_bad_sizes(tmp_path, capsys):
@@ -415,6 +459,34 @@ def test_learn_and_eval_cli(tmp_path):
     assert code == 0
     rep = json.loads(report.read_text())
     assert "train" in rep and "test" in rep
+
+
+def test_learn_eval_compiles_each_split_once(tmp_path, monkeypatch):
+    trust, ratings = _learner_logs(tmp_path)
+    model = tmp_path / "model.json"
+    assert run_cli("learn", "--trust", str(trust), "--ratings", str(ratings), "--steps", "3",
+                   "--out", str(model)) == 0
+    compiled = []
+    compile_traces = learner._compile
+
+    def counting(traces, *args, **kwargs):
+        compiled.append(len(traces))
+        return compile_traces(traces, *args, **kwargs)
+
+    monkeypatch.setattr(learner, "_compile", counting)
+    report = tmp_path / "eval.json"
+    assert run_cli("learn-eval", "--model", str(model), "--trust", str(trust), "--ratings",
+                   str(ratings), "--test-fraction", "0.3", "--out", str(report)) == 0
+    assert compiled == [4, 2]
+    # the bytes the separate evaluate and activation_state_accuracy calls give
+    pairs, rated = learner.load_trust_tsv(trust), learner.load_ratings_tsv(ratings)
+    host = learner.InfluenceGraph.from_trust_edges(pairs)
+    train, test = learner.split_traces(learner.reconstruct_traces(pairs, rated), 0.3)
+    params = learner.load_model(model)
+    want = learner.evaluate(train, test, host, params)
+    accuracy, majority, counts = learner.activation_state_accuracy(test, host, params)
+    want["test_pooled"] = {"accuracy": accuracy, "majority_baseline": majority, **counts}
+    assert report.read_text() == json.dumps(want, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("arg, field", [("--lr=nan", "lr"), ("--lr=inf", "lr"),

@@ -22,7 +22,7 @@ from contagion.netgen import (
     spectral_embed,
 )
 from tests.conftest import raw_from_edges
-from tests.oracles import diameter_all_sources, pa_edges_cumsum
+from tests.oracles import diameter_all_sources, pa_edges_cumsum, save_graph_reference
 
 
 def test_pa_edge_count_1000():
@@ -100,6 +100,27 @@ def test_embed_component_nullspace():
     f = spectral_embed(g, 3)
     assert np.sum(f.eigenvalues < 1e-9) == 2
     assert f.warnings
+
+
+def test_embed_reports_min_eigengap():
+    # P3 Laplacian spectrum is {0, 1, 3}
+    g = raw_from_edges(3, [(0, 1), (1, 2)])
+    assert spectral_embed(g, 1).min_eigengap is None
+    f = spectral_embed(g, 3)
+    assert f.min_eigengap == pytest.approx(1.0, abs=1e-9)
+    assert f.warnings == ()
+
+
+def test_embed_warns_on_repeated_eigenvalue(caplog):
+    # K4 minus an edge has spectrum {0, 2, 4, 4}
+    g = raw_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    f = spectral_embed(g, 3)
+    assert f.min_eigengap == pytest.approx(2.0, abs=1e-9) and f.warnings == ()
+    with caplog.at_level("WARNING", logger="contagion.netgen"):
+        f = spectral_embed(g, 4)
+    assert f.min_eigengap < netgen.MIN_EIGENGAP
+    assert len(f.warnings) == 1 and "gap" in f.warnings[0]
+    assert f.warnings[0] in caplog.text
 
 
 def test_embed_row_norms_and_residual():
@@ -297,6 +318,28 @@ def test_graph_roundtrip(tmp_path, pa_graph_small):
     assert list(loaded.segments) == list(pa_graph_small.segments)
     doc = json.loads(path.read_text())
     assert set(doc) == {"n", "r", "seed", "edges", "features", "weights", "segments"}
+
+
+def _loaded_without_meta(tmp_path):
+    raw = generate_pa(50, 2, rng_seed=4)
+    path = tmp_path / "bare.json"
+    save_graph_reference(assign_edge_weights(raw, spectral_embed(raw, 3)), path)
+    g = load_graph(path)
+    assert g.meta == {"r": None, "seed": None}
+    return g
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp_path: build_graph(1200, 2, 6, seed=8),
+    lambda tmp_path: build_graph(80, 3, 5, seed=2),
+    _loaded_without_meta,
+], ids=["sparse-1200", "dense-80", "loaded-no-meta"])
+def test_save_graph_bytes_match_reference_encoder(tmp_path, make):
+    g = make(tmp_path)
+    got, want = tmp_path / "got.json", tmp_path / "want.json"
+    save_graph(g, got)
+    save_graph_reference(g, want)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def _break_missing_weight(doc):
