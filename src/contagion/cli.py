@@ -37,6 +37,7 @@ from .experiments import (
     rq4_param_sweep,
     rq5_affinity_sweep,
 )
+from .files import open_new
 from .learner import (
     InfluenceGraph,
     evaluation_report,
@@ -126,7 +127,7 @@ def blas_cores() -> dict:
 def write_csv(path, rows, columns=None) -> None:
     if columns is None:
         columns = list(rows[0].keys()) if rows else []
-    with open(path, "w", newline="") as fh:
+    with open_new(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
@@ -180,13 +181,16 @@ def _load_config_file(path) -> dict:
 def _merged(args, config: dict, key: str, default, kind=None):
     """Explicit flag wins, then config file, then the default.
 
-    With ``kind`` (int, float or boolean) a value other than None is cast to
-    it, and one that does not cast raises InvalidParameter naming ``key``;
-    an int key also refuses a boolean and a fractional number.
+    A config value of null raises InvalidParameter unless the default is
+    None too. With ``kind`` (int, float or boolean) a value other than None
+    is cast to it, and one that does not cast raises InvalidParameter naming
+    ``key``; an int key also refuses a boolean and a fractional number.
     """
     val = getattr(args, key.replace("-", "_"), None)
     if val is None:
         val = config.get(key, default)
+    if val is None and default is not None:
+        raise InvalidParameter(key, "must not be null")
     return _typed(key, val, kind)
 
 
@@ -260,23 +264,21 @@ class Done(NamedTuple):
 
 
 def _write(path: Path, content) -> None:
+    """Write one output; every writer replaces the file (``files.open_new``)."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    # replace, never truncate: ext4 starts writing a truncated file back when
-    # it is closed (``auto_da_alloc``), and truncating it again waits for that
-    path.unlink(missing_ok=True)
     if callable(content):
         content(path)
-    elif isinstance(content, str):
-        path.write_text(content)
-    else:
-        with open(path, "w") as fh:
-            if isinstance(content, dict):
-                json.dump(content, fh, indent=2)
+        return
+    with open_new(path) as fh:
+        if isinstance(content, str):
+            fh.write(content)
+        elif isinstance(content, dict):
+            json.dump(content, fh, indent=2)
+            fh.write("\n")
+        else:
+            for row in content:
+                fh.write(json.dumps(row))
                 fh.write("\n")
-            else:
-                for row in content:
-                    fh.write(json.dumps(row))
-                    fh.write("\n")
 
 
 def command(work):

@@ -18,13 +18,15 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, count, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidParameter
+from .files import open_new
 
 logger = logging.getLogger(__name__)
 
@@ -57,6 +59,16 @@ class CascadeTrace:
                     "trace", f"{self.trace_id}: influencer {src} does not precede {dst}"
                 )
 
+    @cached_property
+    def _edge_ranks(self) -> np.ndarray:
+        """(2, len(edges)): the member positions of each edge's influencer
+        and influenced node."""
+        rank = dict(zip(self.members, range(len(self.members))))
+        ranks = np.fromiter(map(rank.__getitem__, chain.from_iterable(self.edges)), dtype=np.int64,
+                            count=2 * len(self.edges)).reshape(-1, 2).T
+        ranks.flags.writeable = False
+        return ranks
+
     def parents(self) -> dict:
         out = defaultdict(list)
         for src, dst in self.edges:
@@ -78,7 +90,10 @@ class HostCSR(NamedTuple):
 
 @dataclass(frozen=True)
 class InfluenceGraph:
-    """Directed host graph: in_nbrs[v] lists the nodes that can influence v."""
+    """Directed host graph: in_nbrs[v] lists the nodes that can influence v.
+
+    The graph keeps its in-neighbor CSR (``csr``) and the last design that
+    ``fit`` or an evaluation compiled on it (``_design``)."""
 
     in_nbrs: dict
     name: str | None = None
@@ -163,11 +178,12 @@ class ThresholdModelParams:
         )
 
     def project(self) -> None:
-        """Clamp every parameter into its box, in place."""
-        for key, val in self.influence.items():
-            self.influence[key] = min(self.upper, max(0.0, val))
-        for key, val in self.bias.items():
-            self.bias[key] = min(self.upper, max(0.0, val))
+        """Clamp every parameter into its box, in place: values at or below 0
+        (NaN and -0.0 included) become 0.0, values at or above ``upper`` become
+        ``upper``."""
+        for store in (self.influence, self.bias):
+            val = np.fromiter(store.values(), dtype=float, count=len(store))
+            store.update(zip(store, np.where(val > 0.0, np.minimum(val, self.upper), 0.0).tolist()))
 
 
 def _clip(values: np.ndarray, upper: float) -> np.ndarray:
@@ -256,9 +272,9 @@ class _Design:
     bias_col: np.ndarray  # the row node's position in bias_keys
     trace: np.ndarray  # the row's trace number
     has_parent: np.ndarray  # members with at least one influence parent
-    influence_keys: list  # (src, dst) per column of x
-    bias_keys: list
-    trace_ids: list
+    influence_keys: tuple  # (src, dst) per column of x
+    bias_keys: tuple
+    trace_ids: tuple
 
     def load(self, params: ThresholdModelParams):
         """(theta, bias) arrays over this design's keys; absent keys read 0.0."""
@@ -306,10 +322,32 @@ def _renumber(ids, size):
     return np.flatnonzero(used), (np.cumsum(used) - 1)[ids]
 
 
+def _find(keys, queries) -> np.ndarray:
+    """Position of each query in the sorted array ``keys``, or -1 where it is absent."""
+    out = np.full(len(queries), -1, dtype=np.int64)
+    if len(keys):
+        by_query = np.argsort(queries)
+        at = np.searchsorted(keys, queries[by_query])
+        hit = keys[np.minimum(at, len(keys) - 1)] == queries[by_query]
+        out[by_query[hit]] = at[hit]
+    return out
+
+
+def _host_numbers(host: HostCSR, ids: list):
+    """(the host number of each id, the ids outside the host).
+
+    Ids outside the host are numbered after it, in order of first appearance."""
+    number = np.fromiter(map(host.index.get, ids, repeat(-1)), dtype=np.int64, count=len(ids))
+    missing = np.flatnonzero(number < 0)
+    outside = [ids[i] for i in missing.tolist()]
+    extra = {v: len(host.nodes) + i for i, v in enumerate(dict.fromkeys(outside))}
+    number[missing] = list(map(extra.__getitem__, outside))
+    return number, list(extra)
+
+
 def _compile(traces, graph: InfluenceGraph, w_boundary="balanced") -> _Design:
     """The design of ``traces`` on ``graph``; calls ``boundary_nodes`` once per trace."""
     host = graph.csr
-    n_host = len(host.nodes)
     boundary, wb = [], []
     counts = np.zeros((3, len(traces)), dtype=np.int64)  # members, boundary nodes, edges
     for t, trace in enumerate(traces):
@@ -317,37 +355,34 @@ def _compile(traces, graph: InfluenceGraph, w_boundary="balanced") -> _Design:
         boundary += outside
         wb.append(resolve_boundary_weight(len(trace.members), len(outside), w_boundary))
         counts[:, t] = len(trace.members), len(outside), len(trace.edges)
-    members = list(chain.from_iterable(trace.members for trace in traces))
-    ends = list(chain.from_iterable(chain.from_iterable(trace.edges for trace in traces)))
-    # members outside the host are numbered after it, in order of appearance
-    strangers = set(members).difference(host.index)
-    extra = [v for v in dict.fromkeys(members) if v in strangers] if strangers else []
-    index = {**host.index, **{v: n_host + i for i, v in enumerate(extra)}} if extra else host.index
-    n_all = n_host + len(extra)
-    m_node, b_node, ends = (np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
-                            for ids in (members, boundary, ends))
-    srcs, dsts = ends[0::2], ends[1::2]
+    n_members, n_boundary = counts[:2].sum(axis=1).tolist()
+    # members and boundary nodes numbered in one pass; members outside the
+    # host are numbered after it
+    number, extra = _host_numbers(
+        host, list(chain(chain.from_iterable(trace.members for trace in traces), boundary)))
+    m_node, b_node = number[:n_members], number[n_members:]
+    n_all = len(host.nodes) + len(extra)
     trace_no = np.arange(len(traces))
-    m_trace, b_trace, e_trace = (np.repeat(trace_no, c) for c in counts)
+    m_trace, b_trace = (np.repeat(trace_no, c) for c in counts[:2])
+    # each edge's influencer and influenced member, numbered across traces
+    e_src, e_member = np.repeat(np.cumsum(counts[0]) - counts[0], counts[2]) + np.concatenate(
+        [np.zeros((2, 0), dtype=np.int64)] + [trace._edge_ranks for trace in traces], axis=1)
 
     # A key (owner, src) names an active in-neighbor src. The owner is the
-    # member's number for a member row and len(members) + trace for a
-    # boundary row, whose active set is the trace's members.
+    # member's number for a member row and n_members + trace for a boundary
+    # row, whose active set is the trace's members.
     m_key = m_trace * n_all + m_node
-    by_key = np.argsort(m_key)
-    e_member = by_key[np.searchsorted(m_key, e_trace * n_all + dsts, sorter=by_key)]
-    active_keys = np.concatenate((e_member * n_all + srcs,
-                                  m_key + len(members) * n_all))
+    active_keys = np.sort(np.concatenate((e_member * n_all + m_node[e_src], m_key + n_members * n_all)))
 
     # rows trace by trace, members before boundary nodes (lexsort is stable)
-    is_member = np.arange(len(members) + len(boundary)) < len(members)
+    is_member = np.arange(n_members + n_boundary) < n_members
     row_trace = np.concatenate((m_trace, b_trace))
     order = np.lexsort((~is_member, row_trace))
     node = np.concatenate((m_node, b_node))[order]
-    owner = np.concatenate((np.arange(len(members)), len(members) + b_trace))[order]
+    owner = np.concatenate((np.arange(n_members), n_members + b_trace))[order]
     is_member, row_trace = is_member[order], row_trace[order]
-    has_parent = np.concatenate((np.bincount(e_member, minlength=len(members)) > 0,
-                                 np.zeros(len(boundary), dtype=bool)))[order]
+    has_parent = np.concatenate((np.bincount(e_member, minlength=n_members) > 0,
+                                 np.zeros(n_boundary, dtype=bool)))[order]
 
     bounds = np.concatenate((host.indptr, np.full(len(extra), host.indptr[-1])))  # outsiders: no in-edges
     row_degree = np.diff(bounds)[node]
@@ -355,23 +390,45 @@ def _compile(traces, graph: InfluenceGraph, w_boundary="balanced") -> _Design:
     # each entry's position in the host CSR: a row's node's in-edges, in order
     pos = np.arange(indptr[-1]) + np.repeat(bounds[node] - indptr[:-1], row_degree)
     src = host.indices[pos]
-    active = np.isin(np.repeat(owner, row_degree) * n_all + src, active_keys)
+    active = _find(active_keys, np.repeat(owner, row_degree) * n_all + src) >= 0
     edges, col = _renumber(host.pair[pos], len(host.indices))
     bias_nodes, bias_col = _renumber(node, n_all)
     names = np.concatenate((host.nodes, np.fromiter(extra, dtype=object, count=len(extra))))
-    return _Design(
-        x=sp.csr_matrix((np.where(active, 1.0, -1.0), col, indptr), shape=(len(node), len(edges))),
+    x = sp.csr_matrix((np.where(active, 1.0, -1.0), col, indptr), shape=(len(node), len(edges)))
+    design = _Design(
+        x=x,
         n_in=np.maximum(row_degree, 1).astype(float),
         label=is_member.astype(float),
         weight=np.where(is_member, 1.0, np.array(wb, dtype=float)[row_trace]),
         bias_col=bias_col,
         trace=row_trace,
         has_parent=has_parent,
-        influence_keys=list(zip(host.nodes[host.indices[edges]].tolist(),
-                                host.nodes[host.owner[edges]].tolist())),
-        bias_keys=names[bias_nodes].tolist(),
-        trace_ids=[trace.trace_id for trace in traces],
+        influence_keys=tuple(zip(host.nodes[host.indices[edges]].tolist(),
+                                 host.nodes[host.owner[edges]].tolist())),
+        bias_keys=tuple(names[bias_nodes].tolist()),
+        trace_ids=tuple(trace.trace_id for trace in traces),
     )
+    for arr in (x.data, x.indices, x.indptr, design.n_in, design.label, design.weight,
+                design.bias_col, design.trace, design.has_parent):
+        arr.flags.writeable = False
+    return design
+
+
+def _design(traces, graph: InfluenceGraph, w_boundary="balanced") -> _Design:
+    """``_compile`` behind a one-entry memo kept on the graph.
+
+    The memo is keyed on the traces' object ids and ``w_boundary``. Its entry
+    holds the traces themselves, so no id in the key can be reused while the
+    entry lives; traces and graphs are immutable, so a hit is the design a
+    fresh compile would give."""
+    traces = tuple(traces)
+    key = (tuple(map(id, traces)), w_boundary)
+    memo = graph.__dict__.get("_design_memo")
+    if memo is not None and memo[0] == key:
+        return memo[2]
+    design = _compile(traces, graph, w_boundary)
+    graph.__dict__["_design_memo"] = (key, traces, design)
+    return design
 
 
 def trace_nll(trace: CascadeTrace, graph: InfluenceGraph, params: ThresholdModelParams,
@@ -442,8 +499,8 @@ def fit(traces, graph: InfluenceGraph, init: ThresholdModelParams, steps: int,
         raise InvalidParameter("lr", f"learning rate must be finite and > 0, got {lr}")
     if steps < 0:
         raise InvalidParameter("steps", f"must be >= 0, got {steps}")
-    work = augment_with_prefixes(traces) if augment else list(traces)
-    design = _compile(work, graph, w_boundary)
+    work = augment_with_prefixes(traces) if augment else traces
+    design = _design(work, graph, w_boundary)
     theta, bias = design.load(init)
     losses = []
     lr_history = []
@@ -475,81 +532,202 @@ def fit(traces, graph: InfluenceGraph, init: ThresholdModelParams, steps: int,
     return FitResult(params=params, losses=tuple(losses), lr_history=tuple(lr_history))
 
 
+def _sort_order(columns, bounds) -> np.ndarray:
+    """The permutation that sorts rows by ``columns``, most significant first.
+
+    Column i holds non-negative ints below ``bounds[i]``. The columns are
+    combined into one int64 key when it fits, else lexsorted; rows with
+    equal keys may come in any order."""
+    if math.prod(bounds) >= 2**63:
+        return np.lexsort(columns[::-1])
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    for col, bound in zip(columns, bounds):
+        key *= bound
+        key += col
+    return np.argsort(key)
+
+
+def _intern(ids):
+    """(each id's number, the distinct ids), numbered in ``str`` order of the
+    ids, ties in order of first appearance."""
+    index = {}
+    first = np.fromiter(map(index.setdefault, ids, count()), dtype=np.int64, count=len(ids))
+    distinct = list(index)
+    names = list(map(str, distinct))
+    by_str = sorted(range(len(distinct)), key=names.__getitem__)
+    rank = np.empty(len(distinct), dtype=np.int64)
+    rank[by_str] = np.arange(len(distinct))
+    # ``first`` holds each id's first position; number those positions 0, 1, ...
+    _, appearance = _renumber(first, len(ids))
+    return rank[appearance], [distinct[i] for i in by_str]
+
+
+def _columns(rows, width) -> list:
+    """The columns of a sequence of ``width``-tuples, as lists."""
+    rows = rows if isinstance(rows, (list, tuple)) else list(rows)
+    if rows and set(map(len, rows)) != {width}:
+        raise ValueError(f"expected {width}-tuples")
+    return [list(map(itemgetter(i), rows)) for i in range(width)]
+
+
+def _firsts(values) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from their predecessor."""
+    mask = np.ones(len(values), dtype=bool)
+    mask[1:] = values[1:] != values[:-1]
+    return mask
+
+
+def _csr(rows, cols, n_rows):
+    """(indptr, indices) of the distinct (row, col) pairs, each row's columns ascending."""
+    key = np.sort(rows * n_rows + cols)
+    key = key[_firsts(key)]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(key // n_rows, minlength=n_rows))))
+    return indptr, key % n_rows
+
+
+def _unchecked(trace_id, members, edges, edge_ranks) -> CascadeTrace:
+    """A CascadeTrace built without ``__post_init__``, for traces whose rules
+    were checked on the integer arrays they are made from."""
+    trace = object.__new__(CascadeTrace)
+    for field, value in (("trace_id", trace_id), ("members", members), ("edges", edges),
+                         ("graph_ref", None)):
+        object.__setattr__(trace, field, value)
+    trace.__dict__["_edge_ranks"] = edge_ranks
+    return trace
+
+
+def _event_traces(trace_ids, names, trace, node, time, indptr, indices, tie=None) -> list:
+    """CascadeTraces from adoption events.
+
+    Nodes are numbered in ``str`` order of ``names``. The events, one per
+    (trace, node), come sorted by (trace, node), and every trace numbered
+    0..len(trace_ids)-1 has at least two. A trace's members follow (time,
+    ``tie[node]``), or (time, node) without ``tie``. An influence edge w -> u
+    joins two members of a trace when w is among u's influencers
+    ``indices[indptr[u]:indptr[u + 1]]`` and adopted strictly earlier; edges
+    follow (time of u, str(u), str(w)).
+    """
+    n_trace, n_node, n_event = len(trace_ids), len(names), len(node)
+    clock = time - time.min()
+    span = int(clock.max()) + 1
+    by_rule = _sort_order((trace, clock, node), (n_trace, span, n_node))
+    member = by_rule if tie is None else \
+        _sort_order((trace, clock, tie[node]), (n_trace, span, int(tie.max()) + 1))
+
+    # every (trace, influencer) pair of an event, looked up among the events
+    degree = np.diff(indptr)[node]
+    dst = np.repeat(np.arange(n_event), degree)
+    starts = np.cumsum(degree) - degree
+    nbr = indices[np.arange(len(dst)) + np.repeat(indptr[node] - starts, degree)]
+    keys = trace * n_node + node
+    src = _find(keys, trace[dst] * n_node + nbr)
+    src, dst = src[src >= 0], dst[src >= 0]
+    earlier = time[src] < time[dst]
+    src, dst = src[earlier], dst[earlier]
+    rule_rank = np.empty(n_event, dtype=np.int64)
+    rule_rank[by_rule] = np.arange(n_event)
+    by_edge = np.argsort(rule_rank[dst] * n_node + node[src])
+    src, dst = src[by_edge], dst[by_edge]
+
+    # the CascadeTrace rules on the arrays: distinct members, and edges
+    # between members of one trace, the influencer first
+    rank = np.empty(n_event, dtype=np.int64)
+    rank[member] = np.arange(n_event)
+    bad = np.zeros(n_trace, dtype=bool)
+    bad[trace[1:][np.diff(keys) <= 0]] = True
+    bad[trace[dst][(trace[src] != trace[dst]) | (rank[src] >= rank[dst])]] = True
+
+    names = np.fromiter(names, dtype=object, count=n_node)
+    members = names[node[member]].tolist()
+    edges = list(zip(names[node[src]].tolist(), names[node[dst]].tolist()))
+    # events, members and edges all run trace by trace
+    m_at = np.searchsorted(trace, np.arange(n_trace + 1))
+    e_at = np.searchsorted(trace[dst], np.arange(n_trace + 1)).tolist()
+    edge_ranks = np.stack((rank[src], rank[dst])) - m_at[trace[dst]]
+    edge_ranks.flags.writeable = False
+    m_at = m_at.tolist()
+    out = []
+    for t, trace_id in enumerate(trace_ids):
+        m, e = slice(m_at[t], m_at[t + 1]), slice(e_at[t], e_at[t + 1])
+        out.append(CascadeTrace(trace_id, tuple(members[m]), tuple(edges[e])) if bad[t] else
+                   _unchecked(trace_id, tuple(members[m]), tuple(edges[e]), edge_ranks[:, e]))
+    return out
+
+
 def reconstruct_traces(trust_edges, ratings) -> list:
     """Cascade traces from trust relations and time-stamped adoption events.
 
     ``trust_edges`` holds (truster, trustee) pairs; ``ratings`` holds
     (user, product, time) triples. For each product with at least two
-    adopters, members are ordered by (time, user) and an influence edge
-    v -> u is added whenever u trusts v and v adopted strictly earlier.
-    Duplicate (user, product) events keep the earliest time.
+    adopters, in ``str`` order of the products, members are ordered by
+    (time, str(user)) and an influence edge v -> u is added whenever u
+    trusts v and v adopted strictly earlier. Edges are ordered by (time of
+    u, str(u), str(v)). Duplicate (user, product) events keep the earliest
+    time.
     """
-    trusts = defaultdict(set)  # user -> set of users they trust
-    for truster, trustee in trust_edges:
-        if truster != trustee:
-            trusts[truster].add(trustee)
+    users, products, times = _columns(ratings, 3)
+    if not users:
+        return []
+    user, user_ids = _intern(users)
+    product, product_ids = _intern(products)
+    time = np.asarray(times)
+    if time.dtype.kind != "i":  # not all ints: cast each time with int()
+        time = np.fromiter(map(int, times), dtype=np.int64, count=len(times))
+    time = time.astype(np.int64, copy=False)
+    n_user, n_product = len(user_ids), len(product_ids)
 
-    first_time = {}
-    for user, product, time in ratings:
-        key = (user, product)
-        t = int(time)
-        if key not in first_time or t < first_time[key]:
-            first_time[key] = t
+    # the earliest event per (product, user), sorted by (product, user)
+    first = _sort_order((product, user, time - time.min()),
+                        (n_product, n_user, int(time.max() - time.min()) + 1))
+    pair = product[first] * n_user + user[first]
+    first = first[_firsts(pair)]
+    product, user, time = product[first], user[first], time[first]
+    kept = np.bincount(product, minlength=n_product) >= 2
+    if not kept.any():
+        return []
+    event = kept[product]
+    trace = (np.cumsum(kept) - 1)[product[event]]
 
-    by_product = defaultdict(list)
-    for (user, product), t in first_time.items():
-        by_product[product].append((t, user))
-
-    traces = []
-    for product in sorted(by_product, key=str):
-        events = sorted(by_product[product], key=lambda e: (e[0], str(e[1])))
-        if len(events) < 2:
-            continue
-        members = tuple(user for _, user in events)
-        times = {user: t for t, user in events}
-        edges = []
-        for u in members:
-            for v in trusts.get(u, ()):
-                if v in times and times[v] < times[u]:
-                    edges.append((v, u))
-        traces.append(
-            CascadeTrace(trace_id=str(product), members=members, edges=tuple(edges))
-        )
-    return traces
+    number = dict(zip(user_ids, range(n_user)))
+    truster, trustee = (np.fromiter(map(number.get, ids, repeat(-1)), dtype=np.int64, count=len(ids))
+                        for ids in _columns(trust_edges, 2))
+    known = (truster >= 0) & (trustee >= 0) & (truster != trustee)
+    truster, trustee = truster[known], trustee[known]
+    indptr, indices = _csr(truster, trustee, n_user)
+    return _event_traces([str(product_ids[p]) for p in np.flatnonzero(kept)], user_ids,
+                         trace, user[event], time[event], indptr, indices)
 
 
 def traces_from_records(records, g, id_prefix="run") -> list:
     """Traces from simulated cascade records on an undirected host graph.
 
     Members follow activation time (ties by node id); an influence edge runs
-    from each strictly earlier activated neighbor to the later one.
+    from each strictly earlier activated neighbor to the later one. Edges
+    are ordered by (time of the later node, str of it, str of the earlier).
     """
-    traces = []
-    for idx, rec in enumerate(records):
-        order = [
-            (int(t), int(v))
-            for v, t in enumerate(rec.activation_time)
-            if t >= 0
-        ]
-        if len(order) < 2:
-            continue
-        order.sort()
-        members = tuple(v for _, v in order)
-        times = {v: t for t, v in order}
-        edges = []
-        for v in members:
-            for w in g.raw.neighbors(v):
-                w = int(w)
-                if w in times and times[w] < times[v]:
-                    edges.append((w, v))
-        traces.append(
-            CascadeTrace(
-                trace_id=f"{id_prefix}{idx}",
-                members=members,
-                edges=tuple(sorted(edges, key=lambda e: (times[e[1]], str(e[1]), str(e[0])))),
-            )
-        )
-    return traces
+    times = [np.asarray(rec.activation_time) for rec in records]
+    adopters = [np.flatnonzero(t >= 0) for t in times]
+    kept = [i for i, nodes in enumerate(adopters) if len(nodes) >= 2]
+    if not kept:
+        return []
+    raw = np.concatenate([adopters[i] for i in kept])
+    time = np.concatenate([times[i][adopters[i]] for i in kept]).astype(np.int64)
+    trace = np.repeat(np.arange(len(kept)), [len(adopters[i]) for i in kept])
+    distinct = np.unique(raw).tolist()
+    names = np.array(sorted(distinct, key=str), dtype=np.int64)
+    number = np.full(g.n, -1, dtype=np.int64)
+    number[names] = np.arange(len(names))
+    node = number[raw]
+    by_node = _sort_order((trace, node), (len(kept), len(names)))
+    trace, node, time = trace[by_node], node[by_node], time[by_node]
+
+    # the host's adjacency among the adopters, in the new numbering
+    pos = g.raw.row_positions(names)
+    row = np.repeat(np.arange(len(names)), g.raw.indptr[names + 1] - g.raw.indptr[names])
+    nbr = number[g.raw.indices[pos]]
+    indptr, indices = _csr(row[nbr >= 0], nbr[nbr >= 0], len(names))
+    return _event_traces([f"{id_prefix}{i}" for i in kept], names.tolist(), trace, node, time,
+                         indptr, indices, tie=names)
 
 
 def split_traces(traces, test_fraction: float = 0.2, rng_seed: int = 0):
@@ -570,7 +748,7 @@ def _category_outcomes(traces, graph, params):
     """Per-category hit arrays for accuracy reports: members with an
     influence parent predicted active (seed-like members have nothing to
     predict from), boundary nodes predicted inactive (ties predict inactive)."""
-    design = _compile(traces, graph)
+    design = _design(traces, graph)
     p = design.probabilities(*design.load(params), params.aggregation)
     return p[design.has_parent] > 0.5, p[design.label == 0.0] <= 0.5
 
@@ -632,7 +810,7 @@ def save_model(params: ThresholdModelParams, path) -> None:
         )],
         "b": [[str(v), float(b)] for v, b in sorted(params.bias.items(), key=lambda kv: str(kv[0]))],
     }
-    with open(path, "w") as fh:
+    with open_new(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 

@@ -19,6 +19,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import InvalidParameter
+from .files import open_new
 
 logger = logging.getLogger(__name__)
 
@@ -145,6 +146,8 @@ def generate_pa(n: int, r: int, rng_seed: int) -> RawGraph:
         raise InvalidParameter("attach", "attachment count must be >= 1")
     if n <= r:
         raise InvalidParameter("nodes", f"need more than attach={r} nodes, got {n}")
+    if int(rng_seed) < 0:
+        raise InvalidParameter("seed", f"must be >= 0, got {rng_seed}")
     rng = np.random.default_rng(int(rng_seed))
     # every arrival's r uniforms in one block: the same doubles, in the same
     # order, as one scalar draw each
@@ -419,7 +422,7 @@ def save_graph(g: WeightedGraph, path) -> None:
         "segments": g.segments.tolist(),
     }
     # json.dumps encodes in C; json.dump always takes the pure-Python encoder
-    with open(path, "w") as fh:
+    with open_new(path) as fh:
         fh.write(json.dumps(doc))
         fh.write("\n")
 

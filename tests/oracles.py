@@ -449,6 +449,13 @@ def learner_nll_and_grad(traces, graph, params, w_boundary="balanced"):
     return total, dict(grad_i), dict(grad_b)
 
 
+def learner_project(params):
+    """``ThresholdModelParams.project`` one value at a time."""
+    for store in (params.influence, params.bias):
+        for key, val in store.items():
+            store[key] = min(params.upper, max(0.0, val))
+
+
 def learner_fit(traces, graph, init, steps, lr, w_boundary="balanced", augment=False):
     """Projected gradient descent on ``learner_nll_and_grad`` over param dicts;
     returns (params, losses, lr_history)."""
@@ -467,7 +474,7 @@ def learner_fit(traces, graph, init, steps, lr, w_boundary="balanced", augment=F
             params.influence[key] = params.influence.get(key, 0.0) - lr * grad
         for key, grad in gb.items():
             params.bias[key] = params.bias.get(key, 0.0) - lr * grad
-        params.project()
+        learner_project(params)
         lr_history.append(lr)
         new_loss, gi, gb = learner_nll_and_grad(work, graph, params, w_boundary)
         if new_loss > loss:
@@ -502,3 +509,68 @@ def learner_evaluate(train_traces, test_traces, graph, params):
             "n_boundary": len(boundary_hits),
         }
     return report
+
+
+def _edge_rule(times):
+    """The influence edge order: (time of dst, str(dst), str(src))."""
+    return lambda e: (times[e[1]], str(e[1]), str(e[0]))
+
+
+def learner_reconstruct_traces(trust_edges, ratings):
+    """``reconstruct_traces`` as a loop over every rating and trust relation."""
+    from contagion.learner import CascadeTrace
+
+    trusts = defaultdict(set)  # user -> set of users they trust
+    for truster, trustee in trust_edges:
+        if truster != trustee:
+            trusts[truster].add(trustee)
+
+    first_time = {}
+    for user, product, time in ratings:
+        key = (user, product)
+        t = int(time)
+        if key not in first_time or t < first_time[key]:
+            first_time[key] = t
+
+    by_product = defaultdict(list)
+    for (user, product), t in first_time.items():
+        by_product[product].append((t, user))
+
+    traces = []
+    for product in sorted(by_product, key=str):
+        events = sorted(by_product[product], key=lambda e: (e[0], str(e[1])))
+        if len(events) < 2:
+            continue
+        members = tuple(user for _, user in events)
+        times = {user: t for t, user in events}
+        edges = []
+        for u in members:
+            for v in trusts.get(u, ()):
+                if v in times and times[v] < times[u]:
+                    edges.append((v, u))
+        traces.append(CascadeTrace(trace_id=str(product), members=members,
+                                   edges=tuple(sorted(edges, key=_edge_rule(times)))))
+    return traces
+
+
+def learner_traces_from_records(records, g, id_prefix="run"):
+    """``traces_from_records`` as a loop over every activated node's neighbors."""
+    from contagion.learner import CascadeTrace
+
+    traces = []
+    for idx, rec in enumerate(records):
+        order = [(int(t), int(v)) for v, t in enumerate(rec.activation_time) if t >= 0]
+        if len(order) < 2:
+            continue
+        order.sort()
+        members = tuple(v for _, v in order)
+        times = {v: t for t, v in order}
+        edges = []
+        for v in members:
+            for w in g.raw.neighbors(v):
+                w = int(w)
+                if w in times and times[w] < times[v]:
+                    edges.append((w, v))
+        traces.append(CascadeTrace(trace_id=f"{id_prefix}{idx}", members=members,
+                                   edges=tuple(sorted(edges, key=_edge_rule(times)))))
+    return traces

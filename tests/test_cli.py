@@ -72,6 +72,57 @@ def test_outputs_replace_hard_linked_files(tmp_path):
     assert json.loads((tmp_path / "manifest.json").read_text())["command"] == "netgen"
 
 
+def test_write_csv_replaces_hard_linked_file(tmp_path):
+    # the other name of a hard-linked table path keeps its bytes
+    path, other = tmp_path / "t.csv", tmp_path / "keep.csv"
+    other.write_text("keep\n")
+    os.link(other, path)
+    write_csv(path, [{"x": 0, "y": 1.5}], ["x", "y"])
+    assert other.read_text() == "keep\n" and os.stat(path).st_nlink == 1
+    assert path.read_text() == "x,y\n0,1.5\n"
+
+
+# (command, key) pairs whose --config value null ended in a TypeError
+# traceback (exit 1) instead of exit 2
+NULL_KEYS = (
+    [("netgen", key) for key in ("nodes", "attach", "embed-dim", "seed")]
+    + [(command, key) for command in ("simulate", "optimize")
+       for key in ("seed", "alpha", "beta", "gamma", "lambda", "viral-fraction")]
+    + [("optimize", key) for key in ("khop", "perturb", "top-deg")]
+    + [("baseline", "seed")]
+)
+
+
+def _small_run(command, graph, out_dir):
+    """Flags for a small run of ``command``, none of them a NULL_KEYS key."""
+    return [str(arg) for arg in {
+        "netgen": ["--out", out_dir / "g.json"],
+        "simulate": ["--graph", graph, "--runs", "2", "--out", out_dir / "runs.jsonl"],
+        "optimize": ["--graph", graph, "--sims", "2", "--rounds", "1", "--beam", "1",
+                     "--out", out_dir / "best.json"],
+        "baseline": ["--model", "ic", "--graph", graph, "--p", "0.3", "--runs", "2",
+                     "--out", out_dir / "runs.jsonl"],
+    }[command]]
+
+
+@pytest.mark.parametrize("command, key", NULL_KEYS)
+def test_null_config_value_exits_2(tmp_path, capsys, graph_file, command, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: None}))
+    assert run_cli(command, "--config", str(cfg), *_small_run(command, graph_file, tmp_path)) == 2
+    assert f"error: {key}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_netgen_negative_seed_exits_2(tmp_path, capsys, where):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    given = ["--seed", "-1"] if where == "flag" else ["--config", str(cfg)]
+    assert run_cli("netgen", "--nodes", "20", *given, "--out", str(tmp_path / "g.json")) == 2
+    assert "error: seed: " in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_chain_twice_into_one_directory(tmp_path):
     graph, runs, report = (tmp_path / name for name in ("graph.json", "runs.jsonl", "report.json"))
     chain = [["netgen", "--nodes", "60", "--embed-dim", "4", "--seed", "3", "--out", graph],

@@ -277,3 +277,75 @@ def _cli_pipeline(root):
 
 def test_cli_output_bytes(tmp_path):
     assert _cli_pipeline(tmp_path) == CLI_OUTPUTS
+
+
+# model.json and eval.json of ``learn`` / ``learn-eval`` on fixed logs. The
+# string logs hold duplicate ratings, time ties, self-trust, single-rater
+# products and raters absent from the trust file; the graph logs name the
+# nodes of a netgen graph by their integers (the ``--graph`` path).
+LEARNER_OUTPUTS = {
+    "int/mean/eval.json":
+        "462733103523d24ee9efd97721bd85d6d3522d734cf2d77d9dc0b91a5248fa85",
+    "int/mean/model.json":
+        "82546ffc1a04b73d1dbc006bae8aade7026175b93cd80e4dd9759df3d6e95d54",
+    "int/sum/eval.json":
+        "51d468d282671fc196ea261b59aa12852176fe4ec1c7868658293516e8689e77",
+    "int/sum/model.json":
+        "3cd473cc7751db137892573ff3087cce3f6de5fa5378a192c6349fab58625b93",
+    "str/mean/eval.json":
+        "51e44c1e7f10ed42a7753b2dfa2ad79a38c4412294ebfe917a7df8ac78b21d2d",
+    "str/mean/model.json":
+        "730f2826ab64d1edfcd28feb8faeaa4de2957961ec4e076087f76c522ae8dc7c",
+    "str/sum/eval.json":
+        "bb7ab84b6ae012d233d091f2497a5fed5bc2b63c7c71a47aa10a1bfdda611e0b",
+    "str/sum/model.json":
+        "0806b2afee94e74e80d33b41b1c7d340fb569fc79e468025117acd4c8f8a3460",
+}
+
+
+def _learner_log_files(root):
+    rng = np.random.default_rng(2024)
+    users = [f"u{i}" for i in range(30)]
+    trust = [(a, b) for a in users[:26] for b in users if rng.random() < 0.12]
+    trust += [("u3", "u3"), ("u4", "u7"), ("u4", "u7")]
+    ratings = []
+    for p in range(14):
+        raters = rng.choice(users, size=int(rng.integers(1, 14)), replace=False)
+        ratings += [(u, f"p{p}", int(rng.integers(0, 6))) for u in raters]
+    ratings += [ratings[3][:2] + (ratings[3][2] + 4,), ratings[10][:2] + (0,)]
+    g = build_graph(60, 2, 4, 5)
+    graph = root / "g.json"
+    save_graph(g, graph)
+    g_trust = [(int(a), int(b)) for a, b in g.raw.edges] + [(int(b), int(a)) for a, b in g.raw.edges]
+    g_ratings = [(int(v), f"q{p}", int(rng.integers(0, 8)))
+                 for p in range(10) for v in rng.choice(60, size=int(rng.integers(2, 20)), replace=False)]
+    files = {}
+    for name, pairs, rated in (("str", trust, ratings), ("int", g_trust, g_ratings)):
+        files[name] = (root / f"{name}_trust.tsv", root / f"{name}_ratings.tsv")
+        files[name][0].write_text("".join(f"{a}\t{b}\n" for a, b in pairs))
+        files[name][1].write_text("".join(f"{u}\t{p}\t{t}\n" for u, p, t in rated))
+    return files, graph
+
+
+def _learner_runs(root):
+    files, graph = _learner_log_files(root)
+    runs = {"str": [], "int": ["--graph", graph]}
+    out = {}
+    for name, extra in runs.items():
+        trust, ratings = files[name]
+        logs = ["--trust", trust, "--ratings", ratings, *extra]
+        for form, more in (("sum", []), ("mean", ["--augment", "--lr", "0.05"])):
+            model = root / name / form / "model.json"
+            report = model.parent / "eval.json"
+            assert dispatch([str(a) for a in ["learn", *logs, "--form", form, "--steps", "25",
+                                              "--seed", "3", *more, "--out", model]]) == 0
+            assert dispatch([str(a) for a in ["learn-eval", "--model", model, *logs,
+                                              "--test-fraction", "0.3", "--split-seed", "1",
+                                              "--out", report]]) == 0
+            for path in (model, report):
+                out[str(path.relative_to(root))] = _sha(path.read_bytes())
+    return out
+
+
+def test_learner_output_bytes(tmp_path):
+    assert _learner_runs(tmp_path) == LEARNER_OUTPUTS

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from contagion.learner import (
     trace_nll,
     traces_from_records,
 )
+from tests.oracles import learner_project
 
 
 def ring_graph(n=10):
@@ -256,6 +258,19 @@ def test_fit_projection_keeps_box():
     assert all(0.0 <= v <= 0.1 + 1e-15 for v in result.params.bias.values())
 
 
+@pytest.mark.parametrize("upper", [0.1, math.inf])
+def test_project_clamps_as_scalar_loop(upper):
+    values = [-1.0, -0.0, 0.0, 1e-320, 0.05, 0.1, 0.2, 3, math.nan, math.inf, -math.inf]
+    params = ThresholdModelParams(aggregation=SUM, influence=dict(enumerate(values)),
+                                  bias=dict(enumerate(values)), upper=upper)
+    want = params.copy()
+    learner_project(want)
+    params.project()
+    for got, expect in ((params.influence, want.influence), (params.bias, want.bias)):
+        assert list(got) == list(expect)
+        assert [repr(float(v)) for v in got.values()] == [repr(float(v)) for v in expect.values()]
+
+
 def test_fit_rejects_bad_lr():
     g, traces, params = random_instance(5, SUM)
     with pytest.raises(InvalidParameter):
@@ -345,6 +360,17 @@ def test_model_roundtrip(tmp_path):
     assert math.isinf(loaded.upper)
     assert loaded.bias == {int(k): pytest.approx(v) for k, v in params.bias.items()}
     assert set(loaded.influence) == set(params.influence)
+
+
+def test_save_model_replaces_hard_linked_file(tmp_path):
+    # the other name of a hard-linked model path keeps its bytes
+    _, _, params = random_instance(2, SUM)
+    path, other = tmp_path / "model.json", tmp_path / "keep.json"
+    other.write_text("keep\n")
+    os.link(other, path)
+    save_model(params, path)
+    assert other.read_text() == "keep\n" and os.stat(path).st_nlink == 1
+    assert load_model(path, int_ids=True).bias == params.bias
 
 
 def test_tsv_loaders(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -340,6 +341,22 @@ def test_save_graph_bytes_match_reference_encoder(tmp_path, make):
     save_graph(g, got)
     save_graph_reference(g, want)
     assert got.read_bytes() == want.read_bytes()
+
+
+def test_save_graph_replaces_hard_linked_file(tmp_path, pa_graph_small):
+    # the other name of a hard-linked graph path keeps its bytes
+    path, other = tmp_path / "g.json", tmp_path / "keep.json"
+    other.write_text("keep\n")
+    os.link(other, path)
+    save_graph(pa_graph_small, path)
+    assert other.read_text() == "keep\n" and os.stat(path).st_nlink == 1
+    assert np.array_equal(load_graph(path).raw.edges, pa_graph_small.raw.edges)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70)])
+def test_generate_pa_rejects_negative_seed(seed):
+    with pytest.raises(InvalidParameter, match="seed"):
+        generate_pa(10, 2, seed)
 
 
 def _break_missing_weight(doc):
