@@ -46,28 +46,26 @@ class CascadeTrace:
     graph_ref: str | None = None
 
     def __post_init__(self):
-        rank = {v: i for i, v in enumerate(self.members)}
+        rank = dict(zip(self.members, range(len(self.members))))
         if len(rank) != len(self.members):
             raise InvalidParameter("trace", f"{self.trace_id}: duplicate members")
-        for src, dst in self.edges:
-            if src not in rank or dst not in rank:
+        if self.edges and set(map(len, self.edges)) != {2}:
+            raise InvalidParameter("trace", f"{self.trace_id}: edges must be (src, dst) pairs")
+        # (2, len(edges)): the member positions of each edge's influencer and
+        # influenced node, -1 for a node outside the members; kept for _compile
+        ranks = np.fromiter(map(rank.get, chain.from_iterable(self.edges), repeat(-1)),
+                            dtype=np.int64, count=2 * len(self.edges)).reshape(-1, 2).T
+        bad = np.flatnonzero((ranks.min(axis=0) < 0) | (ranks[0] >= ranks[1]))
+        if len(bad):
+            src, dst = self.edges[bad[0]]
+            if ranks[:, bad[0]].min() < 0:
                 raise InvalidParameter(
                     "trace", f"{self.trace_id}: edge {src}->{dst} leaves the member set"
                 )
-            if rank[src] >= rank[dst]:
-                raise InvalidParameter(
-                    "trace", f"{self.trace_id}: influencer {src} does not precede {dst}"
-                )
-
-    @cached_property
-    def _edge_ranks(self) -> np.ndarray:
-        """(2, len(edges)): the member positions of each edge's influencer
-        and influenced node."""
-        rank = dict(zip(self.members, range(len(self.members))))
-        ranks = np.fromiter(map(rank.__getitem__, chain.from_iterable(self.edges)), dtype=np.int64,
-                            count=2 * len(self.edges)).reshape(-1, 2).T
-        ranks.flags.writeable = False
-        return ranks
+            raise InvalidParameter(
+                "trace", f"{self.trace_id}: influencer {src} does not precede {dst}"
+            )
+        object.__setattr__(self, "_edge_ranks", ranks)
 
     def parents(self) -> dict:
         out = defaultdict(list)
@@ -90,10 +88,7 @@ class HostCSR(NamedTuple):
 
 @dataclass(frozen=True)
 class InfluenceGraph:
-    """Directed host graph: in_nbrs[v] lists the nodes that can influence v.
-
-    The graph keeps its in-neighbor CSR (``csr``) and the last design that
-    ``fit`` or an evaluation compiled on it (``_design``)."""
+    """Directed host graph: in_nbrs[v] lists the nodes that can influence v."""
 
     in_nbrs: dict
     name: str | None = None
@@ -178,12 +173,11 @@ class ThresholdModelParams:
         )
 
     def project(self) -> None:
-        """Clamp every parameter into its box, in place: values at or below 0
-        (NaN and -0.0 included) become 0.0, values at or above ``upper`` become
-        ``upper``."""
-        for store in (self.influence, self.bias):
-            val = np.fromiter(store.values(), dtype=float, count=len(store))
-            store.update(zip(store, np.where(val > 0.0, np.minimum(val, self.upper), 0.0).tolist()))
+        """Clamp every parameter into its box, in place."""
+        for key, val in self.influence.items():
+            self.influence[key] = min(self.upper, max(0.0, val))
+        for key, val in self.bias.items():
+            self.bias[key] = min(self.upper, max(0.0, val))
 
 
 def _clip(values: np.ndarray, upper: float) -> np.ndarray:
@@ -272,9 +266,9 @@ class _Design:
     bias_col: np.ndarray  # the row node's position in bias_keys
     trace: np.ndarray  # the row's trace number
     has_parent: np.ndarray  # members with at least one influence parent
-    influence_keys: tuple  # (src, dst) per column of x
-    bias_keys: tuple
-    trace_ids: tuple
+    influence_keys: list  # (src, dst) per column of x
+    bias_keys: list
+    trace_ids: list
 
     def load(self, params: ThresholdModelParams):
         """(theta, bias) arrays over this design's keys; absent keys read 0.0."""
@@ -394,41 +388,19 @@ def _compile(traces, graph: InfluenceGraph, w_boundary="balanced") -> _Design:
     edges, col = _renumber(host.pair[pos], len(host.indices))
     bias_nodes, bias_col = _renumber(node, n_all)
     names = np.concatenate((host.nodes, np.fromiter(extra, dtype=object, count=len(extra))))
-    x = sp.csr_matrix((np.where(active, 1.0, -1.0), col, indptr), shape=(len(node), len(edges)))
-    design = _Design(
-        x=x,
+    return _Design(
+        x=sp.csr_matrix((np.where(active, 1.0, -1.0), col, indptr), shape=(len(node), len(edges))),
         n_in=np.maximum(row_degree, 1).astype(float),
         label=is_member.astype(float),
         weight=np.where(is_member, 1.0, np.array(wb, dtype=float)[row_trace]),
         bias_col=bias_col,
         trace=row_trace,
         has_parent=has_parent,
-        influence_keys=tuple(zip(host.nodes[host.indices[edges]].tolist(),
-                                 host.nodes[host.owner[edges]].tolist())),
-        bias_keys=tuple(names[bias_nodes].tolist()),
-        trace_ids=tuple(trace.trace_id for trace in traces),
+        influence_keys=list(zip(host.nodes[host.indices[edges]].tolist(),
+                                host.nodes[host.owner[edges]].tolist())),
+        bias_keys=names[bias_nodes].tolist(),
+        trace_ids=[trace.trace_id for trace in traces],
     )
-    for arr in (x.data, x.indices, x.indptr, design.n_in, design.label, design.weight,
-                design.bias_col, design.trace, design.has_parent):
-        arr.flags.writeable = False
-    return design
-
-
-def _design(traces, graph: InfluenceGraph, w_boundary="balanced") -> _Design:
-    """``_compile`` behind a one-entry memo kept on the graph.
-
-    The memo is keyed on the traces' object ids and ``w_boundary``. Its entry
-    holds the traces themselves, so no id in the key can be reused while the
-    entry lives; traces and graphs are immutable, so a hit is the design a
-    fresh compile would give."""
-    traces = tuple(traces)
-    key = (tuple(map(id, traces)), w_boundary)
-    memo = graph.__dict__.get("_design_memo")
-    if memo is not None and memo[0] == key:
-        return memo[2]
-    design = _compile(traces, graph, w_boundary)
-    graph.__dict__["_design_memo"] = (key, traces, design)
-    return design
 
 
 def trace_nll(trace: CascadeTrace, graph: InfluenceGraph, params: ThresholdModelParams,
@@ -499,8 +471,8 @@ def fit(traces, graph: InfluenceGraph, init: ThresholdModelParams, steps: int,
         raise InvalidParameter("lr", f"learning rate must be finite and > 0, got {lr}")
     if steps < 0:
         raise InvalidParameter("steps", f"must be >= 0, got {steps}")
-    work = augment_with_prefixes(traces) if augment else traces
-    design = _design(work, graph, w_boundary)
+    work = augment_with_prefixes(traces) if augment else list(traces)
+    design = _compile(work, graph, w_boundary)
     theta, bias = design.load(init)
     losses = []
     lr_history = []
@@ -585,15 +557,18 @@ def _csr(rows, cols, n_rows):
     return indptr, key % n_rows
 
 
-def _unchecked(trace_id, members, edges, edge_ranks) -> CascadeTrace:
-    """A CascadeTrace built without ``__post_init__``, for traces whose rules
-    were checked on the integer arrays they are made from."""
-    trace = object.__new__(CascadeTrace)
-    for field, value in (("trace_id", trace_id), ("members", members), ("edges", edges),
-                         ("graph_ref", None)):
-        object.__setattr__(trace, field, value)
-    trace.__dict__["_edge_ranks"] = edge_ranks
-    return trace
+def _time_codes(times) -> np.ndarray:
+    """int64 codes of ``int(t)`` for each time, in the same order and with the
+    same ties, whose span (max - min) stays below 2**63: the times themselves
+    where they allow it, else their ranks among the distinct times."""
+    time = np.asarray(times)
+    if time.dtype.kind == "i" and int(time.max()) - int(time.min()) < 2**63:
+        return time.astype(np.int64, copy=False)
+    ints = list(map(int, times))
+    lo, hi = min(ints), max(ints)
+    if -2**63 <= lo and hi < 2**63 and hi - lo < 2**63:
+        return np.array(ints, dtype=np.int64)
+    return np.unique(np.array(ints, dtype=object), return_inverse=True)[1].astype(np.int64)
 
 
 def _event_traces(trace_ids, names, trace, node, time, indptr, indices, tie=None) -> list:
@@ -629,29 +604,15 @@ def _event_traces(trace_ids, names, trace, node, time, indptr, indices, tie=None
     by_edge = np.argsort(rule_rank[dst] * n_node + node[src])
     src, dst = src[by_edge], dst[by_edge]
 
-    # the CascadeTrace rules on the arrays: distinct members, and edges
-    # between members of one trace, the influencer first
-    rank = np.empty(n_event, dtype=np.int64)
-    rank[member] = np.arange(n_event)
-    bad = np.zeros(n_trace, dtype=bool)
-    bad[trace[1:][np.diff(keys) <= 0]] = True
-    bad[trace[dst][(trace[src] != trace[dst]) | (rank[src] >= rank[dst])]] = True
-
     names = np.fromiter(names, dtype=object, count=n_node)
     members = names[node[member]].tolist()
     edges = list(zip(names[node[src]].tolist(), names[node[dst]].tolist()))
     # events, members and edges all run trace by trace
-    m_at = np.searchsorted(trace, np.arange(n_trace + 1))
+    m_at = np.searchsorted(trace, np.arange(n_trace + 1)).tolist()
     e_at = np.searchsorted(trace[dst], np.arange(n_trace + 1)).tolist()
-    edge_ranks = np.stack((rank[src], rank[dst])) - m_at[trace[dst]]
-    edge_ranks.flags.writeable = False
-    m_at = m_at.tolist()
-    out = []
-    for t, trace_id in enumerate(trace_ids):
-        m, e = slice(m_at[t], m_at[t + 1]), slice(e_at[t], e_at[t + 1])
-        out.append(CascadeTrace(trace_id, tuple(members[m]), tuple(edges[e])) if bad[t] else
-                   _unchecked(trace_id, tuple(members[m]), tuple(edges[e]), edge_ranks[:, e]))
-    return out
+    return [CascadeTrace(trace_id, tuple(members[m_at[t]:m_at[t + 1]]),
+                         tuple(edges[e_at[t]:e_at[t + 1]]))
+            for t, trace_id in enumerate(trace_ids)]
 
 
 def reconstruct_traces(trust_edges, ratings) -> list:
@@ -670,10 +631,7 @@ def reconstruct_traces(trust_edges, ratings) -> list:
         return []
     user, user_ids = _intern(users)
     product, product_ids = _intern(products)
-    time = np.asarray(times)
-    if time.dtype.kind != "i":  # not all ints: cast each time with int()
-        time = np.fromiter(map(int, times), dtype=np.int64, count=len(times))
-    time = time.astype(np.int64, copy=False)
+    time = _time_codes(times)
     n_user, n_product = len(user_ids), len(product_ids)
 
     # the earliest event per (product, user), sorted by (product, user)
@@ -711,7 +669,7 @@ def traces_from_records(records, g, id_prefix="run") -> list:
     if not kept:
         return []
     raw = np.concatenate([adopters[i] for i in kept])
-    time = np.concatenate([times[i][adopters[i]] for i in kept]).astype(np.int64)
+    time = _time_codes(np.concatenate([times[i][adopters[i]] for i in kept]))
     trace = np.repeat(np.arange(len(kept)), [len(adopters[i]) for i in kept])
     distinct = np.unique(raw).tolist()
     names = np.array(sorted(distinct, key=str), dtype=np.int64)
@@ -748,7 +706,7 @@ def _category_outcomes(traces, graph, params):
     """Per-category hit arrays for accuracy reports: members with an
     influence parent predicted active (seed-like members have nothing to
     predict from), boundary nodes predicted inactive (ties predict inactive)."""
-    design = _design(traces, graph)
+    design = _compile(traces, graph)
     p = design.probabilities(*design.load(params), params.aggregation)
     return p[design.has_parent] > 0.5, p[design.label == 0.0] <= 0.5
 

@@ -449,13 +449,6 @@ def learner_nll_and_grad(traces, graph, params, w_boundary="balanced"):
     return total, dict(grad_i), dict(grad_b)
 
 
-def learner_project(params):
-    """``ThresholdModelParams.project`` one value at a time."""
-    for store in (params.influence, params.bias):
-        for key, val in store.items():
-            store[key] = min(params.upper, max(0.0, val))
-
-
 def learner_fit(traces, graph, init, steps, lr, w_boundary="balanced", augment=False):
     """Projected gradient descent on ``learner_nll_and_grad`` over param dicts;
     returns (params, losses, lr_history)."""
@@ -474,7 +467,7 @@ def learner_fit(traces, graph, init, steps, lr, w_boundary="balanced", augment=F
             params.influence[key] = params.influence.get(key, 0.0) - lr * grad
         for key, grad in gb.items():
             params.bias[key] = params.bias.get(key, 0.0) - lr * grad
-        learner_project(params)
+        params.project()
         lr_history.append(lr)
         new_loss, gi, gb = learner_nll_and_grad(work, graph, params, w_boundary)
         if new_loss > loss:

@@ -29,7 +29,6 @@ from contagion.learner import (
     trace_nll,
     traces_from_records,
 )
-from tests.oracles import learner_project
 
 
 def ring_graph(n=10):
@@ -256,19 +255,6 @@ def test_fit_projection_keeps_box():
     result = fit(traces, g, params, steps=40, lr=0.5)
     assert all(0.0 <= v <= 0.1 + 1e-15 for v in result.params.influence.values())
     assert all(0.0 <= v <= 0.1 + 1e-15 for v in result.params.bias.values())
-
-
-@pytest.mark.parametrize("upper", [0.1, math.inf])
-def test_project_clamps_as_scalar_loop(upper):
-    values = [-1.0, -0.0, 0.0, 1e-320, 0.05, 0.1, 0.2, 3, math.nan, math.inf, -math.inf]
-    params = ThresholdModelParams(aggregation=SUM, influence=dict(enumerate(values)),
-                                  bias=dict(enumerate(values)), upper=upper)
-    want = params.copy()
-    learner_project(want)
-    params.project()
-    for got, expect in ((params.influence, want.influence), (params.bias, want.bias)):
-        assert list(got) == list(expect)
-        assert [repr(float(v)) for v in got.values()] == [repr(float(v)) for v in expect.values()]
 
 
 def test_fit_rejects_bad_lr():
