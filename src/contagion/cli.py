@@ -573,9 +573,9 @@ def _learner_inputs(opts):
             ratings = [(int(u), p, t) for u, p, t in ratings]
         except ValueError:
             raise InvalidParameter("trust", "ids must be integers when --graph is given")
-        host = InfluenceGraph.from_weighted_graph(load_graph(graph_path), name=str(graph_path))
+        host = InfluenceGraph.from_weighted_graph(load_graph(graph_path))
     else:
-        host = InfluenceGraph.from_trust_edges(trust, name=str(trust_path))
+        host = InfluenceGraph.from_trust_edges(trust)
     traces = reconstruct_traces(trust, ratings)
     if not traces:
         raise InvalidParameter("ratings", "no usable cascade traces (need >= 2 raters per product)")

@@ -219,6 +219,25 @@ def run_batch(g: WeightedGraph, tasks, params: SimParams, jobs: int = 1,
     return pool_map(_summarize_tasks, g, tasks, (params, keep_series), jobs, tally)
 
 
+def _graph(cfg: ExperimentConfig, g: WeightedGraph | None) -> WeightedGraph:
+    """``g``, or else the graph ``cfg.graph`` describes."""
+    if g is None:
+        g = build_graph(cfg.graph.n, cfg.graph.r, cfg.graph.embed_dim, cfg.graph.seed)
+    return g
+
+
+def _virality(summaries) -> dict:
+    """The virality columns of a sweep row: n_runs, n_viral,
+    virality_frequency and mean_time_to_virality."""
+    ttvs = [s.time_to_virality for s in summaries if s.time_to_virality is not None]
+    return {
+        "n_runs": len(summaries),
+        "n_viral": sum(s.viral for s in summaries),
+        "virality_frequency": float(np.mean([s.viral for s in summaries])),
+        "mean_time_to_virality": float(np.mean(ttvs)) if ttvs else None,
+    }
+
+
 def _self_tasks(cfg: ExperimentConfig, g: WeightedGraph, nodes, label: str):
     for node in nodes:
         vec = g.features.rows[int(node)].copy()
@@ -234,8 +253,7 @@ def rq1_spread_distribution(cfg: ExperimentConfig, g: WeightedGraph | None = Non
     and a one-row summary with the band masses and the Spearman correlation
     between seed degree and mean spread.
     """
-    if g is None:
-        g = build_graph(cfg.graph.n, cfg.graph.r, cfg.graph.embed_dim, cfg.graph.seed)
+    g = _graph(cfg, g)
     nodes = select_nodes(cfg, g)
     summaries = run_batch(g, _self_tasks(cfg, g, nodes, "rq1"), cfg.params, cfg.jobs,
                           tally=tally)
@@ -304,8 +322,7 @@ def rq1_spread_distribution(cfg: ExperimentConfig, g: WeightedGraph | None = Non
 def rq2_growth_curves(cfg: ExperimentConfig, g: WeightedGraph | None = None, *,
                       tally: RunTally | None = None) -> dict:
     """Adoption time series of viral runs from representative segment seeds."""
-    if g is None:
-        g = build_graph(cfg.graph.n, cfg.graph.r, cfg.graph.embed_dim, cfg.graph.seed)
+    g = _graph(cfg, g)
     rng = np.random.default_rng(derive_seed(cfg.master_seed, "rq2-pick"))
     picks = []
     for segment in (CORE, INTERMEDIATE, PERIPHERY):
@@ -427,8 +444,7 @@ def rq4_param_sweep(cfg: ExperimentConfig, axis: str | None = None,
     for value in grid:
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"sweep value {value} outside [0, 1]")
-    if g is None:
-        g = build_graph(cfg.graph.n, cfg.graph.r, cfg.graph.embed_dim, cfg.graph.seed)
+    g = _graph(cfg, g)
     nodes = select_nodes(cfg, g)
 
     rows = []
@@ -438,16 +454,12 @@ def rq4_param_sweep(cfg: ExperimentConfig, axis: str | None = None,
         # same derived seeds at every grid value: paired comparisons
         summaries = run_batch(g, _self_tasks(cfg, g, nodes, "rq4"), params, cfg.jobs,
                               tally=tally)
-        ttvs = [s.time_to_virality for s in summaries if s.time_to_virality is not None]
         rows.append({
             "value": float(value),
             "alpha": alpha,
             "beta": beta,
             "global_weight": 1.0 - alpha - beta,
-            "n_runs": len(summaries),
-            "n_viral": sum(s.viral for s in summaries),
-            "virality_frequency": float(np.mean([s.viral for s in summaries])),
-            "mean_time_to_virality": float(np.mean(ttvs)) if ttvs else None,
+            **_virality(summaries),
         })
     freq = [r["virality_frequency"] for r in rows]
     times = [np.nan if r["mean_time_to_virality"] is None else r["mean_time_to_virality"]
@@ -500,8 +512,7 @@ def rq5_affinity_sweep(cfg: ExperimentConfig, g: WeightedGraph | None = None, *,
     for value in grid:
         if abs(value) > 1.0:
             raise ConfigError(f"cosine {value} outside [-1, 1]")
-    if g is None:
-        g = build_graph(cfg.graph.n, cfg.graph.r, cfg.graph.embed_dim, cfg.graph.seed)
+    g = _graph(cfg, g)
     nodes = select_nodes(cfg, g)
 
     rows = []
@@ -517,13 +528,9 @@ def rq5_affinity_sweep(cfg: ExperimentConfig, g: WeightedGraph | None = None, *,
                 dot_errs.append(abs(float(vec @ x) - float(value)))
                 tasks.append((node, vec, i, derive_seed(cfg.master_seed, "rq5", node, i)))
         summaries = run_batch(g, tasks, cfg.params, cfg.jobs, tally=tally)
-        ttvs = [s.time_to_virality for s in summaries if s.time_to_virality is not None]
         rows.append({
             "cosine": float(value),
-            "n_runs": len(summaries),
-            "n_viral": sum(s.viral for s in summaries),
-            "virality_frequency": float(np.mean([s.viral for s in summaries])),
-            "mean_time_to_virality": float(np.mean(ttvs)) if ttvs else None,
+            **_virality(summaries),
             "max_cosine_error": float(np.max(dot_errs)),
         })
     return {"grid": rows, "summary": [{

@@ -17,10 +17,8 @@ import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, count, repeat
-from operator import itemgetter
-from typing import NamedTuple
+from itertools import chain, compress, count, repeat
+from operator import itemgetter, ne
 
 import numpy as np
 import scipy.sparse as sp
@@ -74,85 +72,68 @@ class CascadeTrace:
         return out
 
 
-class HostCSR(NamedTuple):
-    """In-neighbor CSR of an InfluenceGraph over node numbers 0..n-1."""
+@dataclass(frozen=True, eq=False)
+class InfluenceGraph:
+    """Directed host graph as an in-neighbor CSR over node numbers 0..n-1.
 
-    nodes: np.ndarray  # number -> node id (object array)
+    Node v's in-neighbors, the nodes that can influence it, are the numbers
+    ``indices[indptr[v]:indptr[v + 1]]``. Built by ``from_trust_edges`` or
+    ``from_weighted_graph``.
+    """
+
+    ids: np.ndarray  # number -> node id (object array)
     index: dict  # node id -> number
     indptr: np.ndarray
-    indices: np.ndarray  # in-neighbor numbers, each row in ``in_neighbors`` order
+    indices: np.ndarray  # in-neighbor numbers, row by row
     owner: np.ndarray  # the node whose row holds each entry of ``indices``
-    pair: np.ndarray  # per entry, the first entry of the same (src, dst) pair
-    str_order: np.ndarray  # node numbers in ``sorted(nodes, key=str)`` order
-
-
-@dataclass(frozen=True)
-class InfluenceGraph:
-    """Directed host graph: in_nbrs[v] lists the nodes that can influence v."""
-
-    in_nbrs: dict
-    name: str | None = None
+    str_order: np.ndarray  # node numbers in ``sorted(ids, key=str)`` order
 
     @classmethod
-    def from_trust_edges(cls, pairs, name=None) -> "InfluenceGraph":
-        """Build from (truster, trustee) pairs; the trustee influences the truster."""
-        in_nbrs = defaultdict(list)
-        seen = set()
-        for truster, trustee in pairs:
-            if truster == trustee or (truster, trustee) in seen:
-                continue
-            seen.add((truster, trustee))
-            in_nbrs[truster].append(trustee)
-            in_nbrs.setdefault(trustee, in_nbrs[trustee])
-        return cls(in_nbrs={k: tuple(v) for k, v in in_nbrs.items()}, name=name)
-
-    @classmethod
-    def from_weighted_graph(cls, g, name=None) -> "InfluenceGraph":
-        in_nbrs = {
-            v: tuple(int(w) for w in g.raw.neighbors(v)) for v in range(g.n)
-        }
-        return cls(in_nbrs=in_nbrs, name=name)
-
-    def nodes(self):
-        return self.in_nbrs.keys()
-
-    def in_neighbors(self, v):
-        return self.in_nbrs.get(v, ())
-
-    def directed_edges(self):
-        for dst, srcs in self.in_nbrs.items():
-            for src in srcs:
-                yield (src, dst)
-
-    @cached_property
-    def csr(self) -> HostCSR:
-        """The in-neighbor CSR, built on first use and kept with the graph.
-
-        The nodes are numbered in ``in_nbrs`` order, followed by in-neighbors
-        that have no entry of their own (their rows are empty)."""
-        index = {v: i for i, v in enumerate(self.in_nbrs)}
-        for srcs in self.in_nbrs.values():
-            for w in srcs:
-                index.setdefault(w, len(index))
-        degree = np.zeros(len(index), dtype=np.int64)
-        degree[:len(self.in_nbrs)] = [len(srcs) for srcs in self.in_nbrs.values()]
-        indptr = np.concatenate(([0], np.cumsum(degree)))
-        indices = np.fromiter((index[w] for srcs in self.in_nbrs.values() for w in srcs),
-                              dtype=np.int64, count=int(indptr[-1]))
-        owner = np.repeat(np.arange(len(index)), degree)
-        # an in-neighbor listed twice is one parameter, as in the params dict
-        _, first, inverse = np.unique(owner * len(index) + indices, return_index=True,
-                                      return_inverse=True)
-        names = [str(v) for v in index]
-        return HostCSR(
-            nodes=np.fromiter(index, dtype=object, count=len(index)),
+    def _from_csr(cls, index: dict, indptr, indices) -> "InfluenceGraph":
+        """The graph of the ids in ``index``, numbered 0..n-1 in its order."""
+        names = list(map(str, index))
+        return cls(
+            ids=np.fromiter(index, dtype=object, count=len(index)),
             index=index,
             indptr=indptr,
             indices=indices,
-            owner=owner,
-            pair=first[inverse],
+            owner=np.repeat(np.arange(len(index)), np.diff(indptr)),
             str_order=np.array(sorted(range(len(index)), key=names.__getitem__), dtype=np.int64),
         )
+
+    @classmethod
+    def from_trust_edges(cls, pairs) -> "InfluenceGraph":
+        """Build from (truster, trustee) pairs; the trustee influences the truster.
+
+        Self-trust is skipped. Nodes are numbered in first appearance,
+        truster before trustee, and each truster lists its trustees once, in
+        first appearance."""
+        truster, trustee = _columns(pairs, 2)
+        flat = list(chain.from_iterable(compress(zip(truster, trustee), map(ne, truster, trustee))))
+        index = dict(zip(dict.fromkeys(flat), count()))
+        ends = np.fromiter(map(index.__getitem__, flat), dtype=np.int64,
+                           count=len(flat)).reshape(-1, 2)
+        key = ends[:, 0] * len(index) + ends[:, 1]
+        first = np.sort(np.unique(key, return_index=True)[1])  # a repeated pair's first entry
+        dst, src = ends[first].T
+        rows = np.argsort(dst, kind="stable")
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=len(index)))))
+        return cls._from_csr(index, indptr, src[rows])
+
+    @classmethod
+    def from_weighted_graph(cls, g) -> "InfluenceGraph":
+        """The undirected graph's CSR as it is: ids 0..n-1, each node's
+        neighbors its in-neighbors, in ascending order."""
+        return cls._from_csr(dict(zip(range(g.n), range(g.n))), g.raw.indptr, g.raw.indices)
+
+    def nodes(self) -> list:
+        return self.ids.tolist()
+
+    def in_neighbors(self, v) -> tuple:
+        i = self.index.get(v)
+        if i is None:
+            return ()
+        return tuple(self.ids[self.indices[self.indptr[i]:self.indptr[i + 1]]].tolist())
 
 
 @dataclass
@@ -194,15 +175,16 @@ def init_params(graph: InfluenceGraph, aggregation: str = SUM, rng_seed: int = 0
     if aggregation not in (SUM, MEAN):
         raise InvalidParameter("form", f"unknown aggregation {aggregation!r}")
     upper = SUM_BOX if aggregation == SUM else math.inf
-    dsts = sorted(graph.nodes(), key=str)
-    keys = [(src, dst) for dst in dsts for src in graph.in_neighbors(dst)]
-    draws = _clip(np.random.default_rng(int(rng_seed)).normal(0.05, 0.01, len(keys) + len(dsts)), upper)
+    dsts = graph.str_order
+    pos, degree = _row_positions(graph.indptr, dsts)
+    keys = zip(graph.ids[graph.indices[pos]].tolist(), graph.ids[graph.owner[pos]].tolist())
+    draws = _clip(np.random.default_rng(int(rng_seed)).normal(0.05, 0.01, len(pos) + len(dsts)), upper)
     is_bias = np.zeros(len(draws), dtype=bool)
-    is_bias[np.cumsum([len(graph.in_neighbors(dst)) + 1 for dst in dsts], dtype=np.int64) - 1] = True
+    is_bias[np.cumsum(degree + 1) - 1] = True
     return ThresholdModelParams(
         aggregation=aggregation,
         influence=dict(zip(keys, draws[~is_bias].tolist())),
-        bias=dict(zip(dsts, draws[is_bias].tolist())),
+        bias=dict(zip(graph.ids[dsts].tolist(), draws[is_bias].tolist())),
         upper=upper,
     )
 
@@ -217,26 +199,25 @@ def _sigmoid(z: float) -> float:
 def predict_activation(v, active_set, graph: InfluenceGraph, params: ThresholdModelParams) -> float:
     """Activation probability of v given the currently active set."""
     active = set(active_set)
-    in_nbrs = graph.in_neighbors(v)
+    nbrs = graph.in_neighbors(v)
     signed = 0.0
-    for w in in_nbrs:
+    for w in nbrs:
         weight = params.influence.get((w, v), 0.0)
         signed += weight if w in active else -weight
-    if params.aggregation == MEAN and in_nbrs:
-        signed /= len(in_nbrs)
+    if params.aggregation == MEAN and nbrs:
+        signed /= len(nbrs)
     return _sigmoid(signed + params.bias.get(v, 0.0))
 
 
 def boundary_nodes(trace: CascadeTrace, graph: InfluenceGraph) -> list:
     """Non-members with at least one member in-neighbor, in deterministic order."""
-    host = graph.csr
-    member = np.zeros(len(host.nodes), dtype=bool)
-    ids = np.fromiter(map(host.index.get, trace.members, repeat(-1)), dtype=np.int64,
-                      count=len(trace.members))
-    member[ids[ids >= 0]] = True
-    reached = np.zeros(len(host.nodes), dtype=bool)
-    reached[host.owner[member[host.indices]]] = True
-    return host.nodes[host.str_order[(reached & ~member)[host.str_order]]].tolist()
+    member = np.zeros(len(graph.ids), dtype=bool)
+    number = np.fromiter(map(graph.index.get, trace.members, repeat(-1)), dtype=np.int64,
+                         count=len(trace.members))
+    member[number[number >= 0]] = True
+    reached = np.zeros(len(graph.ids), dtype=bool)
+    reached[graph.owner[member[graph.indices]]] = True
+    return graph.ids[graph.str_order[(reached & ~member)[graph.str_order]]].tolist()
 
 
 def resolve_boundary_weight(n_members, n_boundary, w_boundary):
@@ -327,21 +308,27 @@ def _find(keys, queries) -> np.ndarray:
     return out
 
 
-def _host_numbers(host: HostCSR, ids: list):
+def _row_positions(indptr, rows):
+    """(the CSR positions of every entry of ``rows``, row after row; each row's length)."""
+    degree = indptr[rows + 1] - indptr[rows]
+    offsets = np.repeat(indptr[rows] - np.cumsum(degree) + degree, degree)
+    return np.arange(len(offsets)) + offsets, degree
+
+
+def _host_numbers(graph: InfluenceGraph, ids: list):
     """(the host number of each id, the ids outside the host).
 
     Ids outside the host are numbered after it, in order of first appearance."""
-    number = np.fromiter(map(host.index.get, ids, repeat(-1)), dtype=np.int64, count=len(ids))
+    number = np.fromiter(map(graph.index.get, ids, repeat(-1)), dtype=np.int64, count=len(ids))
     missing = np.flatnonzero(number < 0)
     outside = [ids[i] for i in missing.tolist()]
-    extra = {v: len(host.nodes) + i for i, v in enumerate(dict.fromkeys(outside))}
+    extra = {v: len(graph.ids) + i for i, v in enumerate(dict.fromkeys(outside))}
     number[missing] = list(map(extra.__getitem__, outside))
     return number, list(extra)
 
 
 def _compile(traces, graph: InfluenceGraph, w_boundary="balanced") -> _Design:
     """The design of ``traces`` on ``graph``; calls ``boundary_nodes`` once per trace."""
-    host = graph.csr
     boundary, wb = [], []
     counts = np.zeros((3, len(traces)), dtype=np.int64)  # members, boundary nodes, edges
     for t, trace in enumerate(traces):
@@ -353,9 +340,9 @@ def _compile(traces, graph: InfluenceGraph, w_boundary="balanced") -> _Design:
     # members and boundary nodes numbered in one pass; members outside the
     # host are numbered after it
     number, extra = _host_numbers(
-        host, list(chain(chain.from_iterable(trace.members for trace in traces), boundary)))
+        graph, list(chain(chain.from_iterable(trace.members for trace in traces), boundary)))
     m_node, b_node = number[:n_members], number[n_members:]
-    n_all = len(host.nodes) + len(extra)
+    n_all = len(graph.ids) + len(extra)
     trace_no = np.arange(len(traces))
     m_trace, b_trace = (np.repeat(trace_no, c) for c in counts[:2])
     # each edge's influencer and influenced member, numbered across traces
@@ -378,16 +365,14 @@ def _compile(traces, graph: InfluenceGraph, w_boundary="balanced") -> _Design:
     has_parent = np.concatenate((np.bincount(e_member, minlength=n_members) > 0,
                                  np.zeros(n_boundary, dtype=bool)))[order]
 
-    bounds = np.concatenate((host.indptr, np.full(len(extra), host.indptr[-1])))  # outsiders: no in-edges
-    row_degree = np.diff(bounds)[node]
-    indptr = np.concatenate(([0], np.cumsum(row_degree)))
+    bounds = np.concatenate((graph.indptr, np.full(len(extra), graph.indptr[-1])))  # outsiders: no in-edges
     # each entry's position in the host CSR: a row's node's in-edges, in order
-    pos = np.arange(indptr[-1]) + np.repeat(bounds[node] - indptr[:-1], row_degree)
-    src = host.indices[pos]
-    active = _find(active_keys, np.repeat(owner, row_degree) * n_all + src) >= 0
-    edges, col = _renumber(host.pair[pos], len(host.indices))
+    pos, row_degree = _row_positions(bounds, node)
+    indptr = np.concatenate(([0], np.cumsum(row_degree)))
+    active = _find(active_keys, np.repeat(owner, row_degree) * n_all + graph.indices[pos]) >= 0
+    edges, col = _renumber(pos, len(graph.indices))
     bias_nodes, bias_col = _renumber(node, n_all)
-    names = np.concatenate((host.nodes, np.fromiter(extra, dtype=object, count=len(extra))))
+    names = np.concatenate((graph.ids, np.fromiter(extra, dtype=object, count=len(extra))))
     return _Design(
         x=sp.csr_matrix((np.where(active, 1.0, -1.0), col, indptr), shape=(len(node), len(edges))),
         n_in=np.maximum(row_degree, 1).astype(float),
@@ -396,8 +381,8 @@ def _compile(traces, graph: InfluenceGraph, w_boundary="balanced") -> _Design:
         bias_col=bias_col,
         trace=row_trace,
         has_parent=has_parent,
-        influence_keys=list(zip(host.nodes[host.indices[edges]].tolist(),
-                                host.nodes[host.owner[edges]].tolist())),
+        influence_keys=list(zip(graph.ids[graph.indices[edges]].tolist(),
+                                graph.ids[graph.owner[edges]].tolist())),
         bias_keys=names[bias_nodes].tolist(),
         trace_ids=[trace.trace_id for trace in traces],
     )
@@ -590,10 +575,9 @@ def _event_traces(trace_ids, names, trace, node, time, indptr, indices, tie=None
         _sort_order((trace, clock, tie[node]), (n_trace, span, int(tie.max()) + 1))
 
     # every (trace, influencer) pair of an event, looked up among the events
-    degree = np.diff(indptr)[node]
+    pos, degree = _row_positions(indptr, node)
     dst = np.repeat(np.arange(n_event), degree)
-    starts = np.cumsum(degree) - degree
-    nbr = indices[np.arange(len(dst)) + np.repeat(indptr[node] - starts, degree)]
+    nbr = indices[pos]
     keys = trace * n_node + node
     src = _find(keys, trace[dst] * n_node + nbr)
     src, dst = src[src >= 0], dst[src >= 0]

@@ -148,6 +148,9 @@ def generate_pa(n: int, r: int, rng_seed: int) -> RawGraph:
         raise InvalidParameter("nodes", f"need more than attach={r} nodes, got {n}")
     if int(rng_seed) < 0:
         raise InvalidParameter("seed", f"must be >= 0, got {rng_seed}")
+    if r * (n - r - 1) > np.iinfo(np.intp).max:
+        raise InvalidParameter("nodes", "attach * (nodes - attach - 1) uniforms exceed the "
+                                        f"largest array numpy can size ({np.iinfo(np.intp).max})")
     rng = np.random.default_rng(int(rng_seed))
     # every arrival's r uniforms in one block: the same doubles, in the same
     # order, as one scalar draw each

@@ -1,4 +1,4 @@
-"""Seed derivation and RNG construction.
+"""Seed derivation.
 
 All randomness in the toolkit flows from a single master seed. Stream seeds
 for subsystems and individual runs are derived by hashing the master seed
@@ -9,8 +9,6 @@ component can be re-executed in isolation and still reproduce its stream.
 from __future__ import annotations
 
 import hashlib
-
-import numpy as np
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -26,10 +24,3 @@ def derive_seed(master: int, *parts) -> int:
         h.update(str(part).encode())
     return int.from_bytes(h.digest(), "big")
 
-
-def make_rng(seed: int, *parts) -> np.random.Generator:
-    """Generator seeded by ``derive_seed(seed, *parts)`` (or ``seed`` itself
-    when no parts are given)."""
-    if parts:
-        seed = derive_seed(seed, *parts)
-    return np.random.default_rng(int(seed))

@@ -363,6 +363,40 @@ def reference_cascade(g, c, seeds, params, rng_seed):
 # learner: the dict walks the compiled design replaced
 
 
+def learner_trust_host(pairs) -> dict:
+    """The host of (truster, trustee) pairs as a dict of in-neighbor tuples:
+    nodes in first appearance, truster before trustee, self-trust skipped;
+    each truster lists its trustees once, in first appearance."""
+    in_nbrs = defaultdict(list)
+    seen = set()
+    for truster, trustee in pairs:
+        if truster == trustee or (truster, trustee) in seen:
+            continue
+        seen.add((truster, trustee))
+        in_nbrs[truster].append(trustee)
+        in_nbrs.setdefault(trustee, in_nbrs[trustee])
+    return {k: tuple(v) for k, v in in_nbrs.items()}
+
+
+def learner_graph_host(g) -> dict:
+    """The host of an undirected graph: node v's in-neighbors are its
+    neighbors, as Python ints."""
+    return {v: tuple(int(w) for w in g.raw.neighbors(v)) for v in range(g.n)}
+
+
+class DictHost:
+    """A host dict read through the learner's graph interface."""
+
+    def __init__(self, in_nbrs: dict):
+        self.in_nbrs = in_nbrs
+
+    def nodes(self):
+        return self.in_nbrs.keys()
+
+    def in_neighbors(self, v):
+        return self.in_nbrs.get(v, ())
+
+
 def learner_init_params(graph, aggregation, rng_seed):
     """One scalar normal draw per parameter, dst by dst in str order."""
     from contagion.learner import SUM, SUM_BOX, ThresholdModelParams

@@ -123,6 +123,18 @@ def test_netgen_negative_seed_exits_2(tmp_path, capsys, where):
     assert not (tmp_path / "g.json").exists()
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_netgen_oversized_node_count_exits_2(tmp_path, capsys, where):
+    # node counts whose block of attach * (nodes - attach - 1) uniforms numpy
+    # cannot size; nothing is allocated
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nodes": 1e308}))
+    given = ["--nodes", "100000000000000000000"] if where == "flag" else ["--config", str(cfg)]
+    assert run_cli("netgen", *given, "--out", str(tmp_path / "g.json")) == 2
+    assert "error: nodes: " in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_chain_twice_into_one_directory(tmp_path):
     graph, runs, report = (tmp_path / name for name in ("graph.json", "runs.jsonl", "report.json"))
     chain = [["netgen", "--nodes", "60", "--embed-dim", "4", "--seed", "3", "--out", graph],

@@ -349,3 +349,69 @@ def _learner_runs(root):
 
 def test_learner_output_bytes(tmp_path):
     assert _learner_runs(tmp_path) == LEARNER_OUTPUTS
+
+
+# Every table and plot of ``experiment --rq 2..5`` on tiny configs (n <= 80).
+# Keys are paths under the work directory.
+EXPERIMENT_OUTPUTS = {
+    "rq2/rq2_growth.svg":
+        "6a35dc7e87ddcbac3cbd9b8417baad186920c12593cb3fc6a16abedc15e335ad",
+    "rq2/rq2_series.csv":
+        "fd8acb5557c99319744b882ae488264e07e6c1edde0a9cf2e817fe43e299122b",
+    "rq2/rq2_summary.csv":
+        "39409b125af788c07be9f1cf4f88b85db42201e32e00c7959b308346461deaf6",
+    "rq2/rq2_tipping.csv":
+        "5a0e8c47e4714331996d18f025c56f790c98f292862fc6a5d650f4fbfc923e09",
+    "rq3/rq3_graphs.csv":
+        "3706d65662b3d1dfd6ea9edcc9d914765b8019a7688e37ef0a7d810cf4486b6e",
+    "rq3/rq3_per_size.csv":
+        "a0ec7b16427ff1ec5607a10e40f2731ba34e09065bfb96da2690cc2c356ffac5",
+    "rq3/rq3_scaling.svg":
+        "d43760787dbe95b862739de76c9ccdd4a8bf5d0d45e816d56b1550e75edd0361",
+    "rq3/rq3_summary.csv":
+        "78b068d311fe558b558d9f70b2bb3b251a8010f4a0963892fc643c52f5e13a2c",
+    "rq4/rq4_grid.csv":
+        "dc13558eb4b9d41fe97096654a6676cac2e39a87d90706f0763111379d713e99",
+    "rq4/rq4_summary.csv":
+        "bfb5b57bfca9c43d88b37f76f0db468d554a33c495866100de1b239950e17a2e",
+    "rq4/rq4_sweep.svg":
+        "f6c35dee1bcbad9c3d98711677885bd9de2b8a96b2d0b2403206bec77213997a",
+    "rq5/rq5_grid.csv":
+        "902c60ab21d73688f6fe78db8600d688f1183a290aff6de3d4fc475dbaf702fd",
+    "rq5/rq5_summary.csv":
+        "51527f001c0599cce2739e812d2df91b74f7cdbcc2f42843d5cb1855702877b4",
+    "rq5/rq5_sweep.svg":
+        "3f3e2cc24739d5d7c99202c5014766e0a5950a76a93c1a8686fcbdaee8cd95e4",
+}
+
+EXPERIMENT_BASE = {
+    "graph": {"n": 80, "r": 2, "embed_dim": 5, "seed": 3},
+    "params": {"gamma": 0.3, "epsilon": 3},
+    "runs_per_node": 2,
+    "node_selection": "sample:5",
+    "master_seed": 4,
+}
+EXPERIMENT_CONFIGS = {
+    2: {"segment_samples": 2},
+    3: {"sweep_values": [40, 60, 80], "graph_seeds": 2, "seeds_per_graph": 2},
+    4: {"sweep_axis": "alpha", "sweep_values": [0.2, 0.5, 0.8]},
+    5: {"sweep_values": [-0.6, 0.0, 0.6]},
+}
+
+
+def _experiment_runs(root):
+    out = {}
+    for rq, extra in EXPERIMENT_CONFIGS.items():
+        cfg = root / f"rq{rq}.json"
+        cfg.write_text(json.dumps({**EXPERIMENT_BASE, **extra}))
+        out_dir = root / f"rq{rq}"
+        assert dispatch(["experiment", "--rq", str(rq), "--config", str(cfg),
+                         "--out-dir", str(out_dir)]) == 0
+        for p in sorted(out_dir.iterdir()):
+            if p.name != "manifest.json":
+                out[str(p.relative_to(root))] = _sha(p.read_bytes())
+    return out
+
+
+def test_experiment_output_bytes(tmp_path):
+    assert _experiment_runs(tmp_path) == EXPERIMENT_OUTPUTS

@@ -134,27 +134,6 @@ def test_summation_order_is_the_dict_walks(monkeypatch, aggregation):
         assert got.params.influence == want.influence and got.params.bias == want.bias
 
 
-def test_repeated_and_keyless_in_neighbors_as_dict_walk():
-    # node 0 lists in-neighbor 1 twice (one parameter, counted twice) and
-    # in-neighbor 5, which has no entry of its own
-    graph = InfluenceGraph(in_nbrs={0: (1, 1, 2, 5), 1: (0, 2), 2: (1,), 3: (0,)})
-    traces = [CascadeTrace(trace_id="a", members=(1, 0), edges=((1, 0),)),
-              CascadeTrace(trace_id="b", members=(5, 2, 0), edges=((5, 0), (2, 0)))]
-    for aggregation in (SUM, MEAN):
-        params = init_params(graph, aggregation, rng_seed=1)
-        got = nll_and_grad(traces, graph, params)
-        want = learner_nll_and_grad(traces, graph, params)
-        assert_close_loss(got[0], want[0])
-        assert_close_dicts(got[1], want[1])
-        assert_close_dicts(got[2], want[2])
-        fitted = fit(traces, graph, params, steps=15, lr=0.05).params
-        want_params = learner_fit(traces, graph, params, 15, 0.05)[0]
-        assert_close_dicts(fitted.influence, want_params.influence)
-        assert_close_dicts(fitted.bias, want_params.bias)
-        for trace in traces:
-            assert boundary_nodes(trace, graph) == learner_boundary_nodes(trace, graph)
-
-
 @pytest.mark.parametrize("aggregation", [SUM, MEAN])
 def test_init_params_draws_as_scalar_loop(aggregation):
     for seed in range(20):
