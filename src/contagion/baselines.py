@@ -38,6 +38,8 @@ class BaselineConfig:
         if self.lt_dist == CONSTANT:
             if self.lt_theta is None:
                 raise InvalidParameter("theta", "constant distribution needs a theta value")
+            if not np.isfinite(self.lt_theta):
+                raise InvalidParameter("theta", f"must be finite, got {self.lt_theta}")
         elif self.lt_theta is not None and not 0.0 <= self.lt_theta <= 1.0:
             raise InvalidParameter("theta", f"must be in [0,1], got {self.lt_theta}")
         if self.k < 1:

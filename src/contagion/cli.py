@@ -14,6 +14,7 @@ import ctypes
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -213,9 +214,13 @@ def _typed(key: str, val, kind):
     if kind is int and (isinstance(val, bool) or isinstance(val, float) and not val.is_integer()):
         raise InvalidParameter(key, f"expected int, got {val!r}")
     try:
-        return kind(val)
+        typed = kind(val)
     except (TypeError, ValueError):
         raise InvalidParameter(key, f"expected {kind.__name__}, got {val!r}") from None
+    # NaN and infinities pass float() and no JSON output can hold them
+    if kind is float and not math.isfinite(typed):
+        raise InvalidParameter(key, f"expected a finite number, got {val!r}")
+    return typed
 
 
 def _parse_seeds(text) -> list:
@@ -651,6 +656,8 @@ def cmd_plot(opts) -> Done:
     kind = str(opts.get("kind", "line"))
     out = opts.get("out", "plot.svg")
     bins = opts.get("bins", 10, int)
+    if bins < 1:
+        raise InvalidParameter("bins", f"must be >= 1, got {bins}")
 
     header, rows = read_csv_table(table)
     if kind == "line":

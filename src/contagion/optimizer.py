@@ -14,7 +14,7 @@ and re-scoring a vector reproduces its score exactly.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
@@ -22,8 +22,7 @@ from scipy.sparse.csgraph import breadth_first_order, dijkstra
 from .errors import InvalidParameter
 from .netgen import CORE, WeightedGraph
 from .rng import derive_seed
-from .updyn import (Propagation, SimParams, _activate_rows, _affinities, _draw, _eligible,
-                    _fresh_rows, run_cascades)
+from .updyn import Propagation, SimParams, iter_cascades
 
 logger = logging.getLogger(__name__)
 
@@ -100,6 +99,10 @@ def build_candidate_pool(g: WeightedGraph, v: int, K: int, top_deg: int,
         raise InvalidParameter("seed-node", f"node {v} outside [0, {g.n})")
     if K < 0:
         raise InvalidParameter("khop", "hop count must be >= 0")
+    if top_deg < 0:
+        raise InvalidParameter("top-deg", "hub count must be >= 0")
+    if core_targets is not None and core_targets < 0:
+        raise InvalidParameter("core-targets", "core target count must be >= 0")
 
     adj = g.raw.adjacency()
     # dijkstra's predecessors break distance ties by heap order, not scan order
@@ -146,9 +149,9 @@ def estimate_spread(g: WeightedGraph, c, v: int, M: int, params: SimParams,
     """
     if M < 1:
         raise InvalidParameter("sims", "need at least one simulation")
-    records = run_cascades(g, [(c, [v], derive_seed(rng_seed, "sim", i)) for i in range(M)],
-                           params)
-    spreads = np.array([rec.final_spread for rec in records], dtype=np.float64)
+    runs = [(c, [v], derive_seed(rng_seed, "sim", i)) for i in range(M)]
+    spreads = np.fromiter((rec.final_spread for rec in iter_cascades(g, runs, params)),
+                          dtype=np.float64, count=M)
     stderr = float(spreads.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0
     return SpreadEstimate(mean=float(spreads.mean()), stderr=stderr, sims=M)
 
@@ -262,66 +265,50 @@ def _majority_segment(g: WeightedGraph, nodes) -> int:
     return int(np.argmax([np.count_nonzero(segments == s) for s in SEGMENT_ORDER]))
 
 
-def _probe_one_step(g, nodes, times, affinity_hat, params, seeds):
-    """Draw one step from a visited state under each propagation, row r' of
-    one lockstep state with the affinities of row r' of ``affinity_hat``
-    (see ``updyn._affinities``) under ``seeds[r']``; returns each row's gain
-    and the majority segment of its new nodes (None when it gains none).
-
-    A stable time sort replays the history in its listed order within a
-    step, so the sums match a step-by-step replay.
-    """
-    R, order = len(seeds), np.argsort(times, kind="stable")
-    rows = _fresh_rows(g, affinity_hat, own_live=False)
-    _activate_rows(rows, g, np.arange(R).repeat(len(nodes)), np.tile(nodes[order], R),
-                   np.tile(times[order], R))
-    rngs = [np.random.default_rng(s) for s in seeds]
-    _, node, new = _draw(rows, params, rngs, *_eligible(rows, params))
-    # the fired cells come row after row
-    parts = np.split(node, np.cumsum(new)[:-1])
-    return [(k, _majority_segment(g, part) if k else None) for k, part in zip(new, parts)]
-
-
 def dp_policy(g: WeightedGraph, v: int, cfg: DpConfig, params: SimParams,
               rng_seed: int) -> DpResult:
     """Coarse Bellman recursion over (codebook entry, frontier segment).
 
     Rewards and transitions are estimated by simulation: cascades run under
-    each codebook entry r, and at every visited state a one-step probe under
-    each r' measures the spread gain and where the frontier moves. Pairs
-    (r, s) that are never visited keep value zero and are flagged.
+    each codebook entry r, and at every visited state a probe under each r'
+    measures the spread gain and where the frontier moves. Pairs (r, s) that
+    are never visited keep value zero and are flagged.
 
-    A probe rebuilds the visited state from activation times alone, so under
-    drift it sees the graph's undrifted features and weights.
+    A probe is a one-step cascade seeded with the visited state's history in
+    (activation time, node id) order, which adds to each neighbour's sums in
+    the order the cascade did. Rebuilt from activation times alone, the
+    state under drift has the graph's undrifted features and weights.
     """
-    R = len(cfg.codebook)
+    R, sims = len(cfg.codebook), cfg.sims_per_estimate
     n_seg = len(SEGMENT_ORDER)
     gain_sum = np.zeros((R, n_seg, R))
     gain_cnt = np.zeros((R, n_seg, R), dtype=np.int64)
     trans_cnt = np.zeros((R, n_seg, R, n_seg), dtype=np.int64)
 
     props = [Propagation.from_vector(np.asarray(vec, dtype=np.float64)) for vec in cfg.codebook]
-    affinity_hat = _affinities(g, props)  # the probes' rows, built once
-    for r, prop in enumerate(props):
-        records = run_cascades(g, [(prop, [int(v)], derive_seed(rng_seed, "dp", r, sim))
-                                   for sim in range(cfg.sims_per_estimate)], params)
-        for sim, rec in enumerate(records):
-            # replay the trajectory, probing each visited state
-            active_nodes = np.flatnonzero(rec.activation_time >= 0)
-            times = rec.activation_time[active_nodes]
-            horizon_steps = sorted(set(int(t) for t in times))
-            for t in horizon_steps[: cfg.horizon + 1]:
-                frontier = active_nodes[times == t]
-                s = _majority_segment(g, frontier)
-                probes = _probe_one_step(
-                    g, active_nodes[times <= t], times[times <= t], affinity_hat, params,
-                    [derive_seed(rng_seed, "probe", r, sim, t, rp) for rp in range(R)],
-                )
-                for rp, (gained, s_next) in enumerate(probes):
-                    gain_sum[r, s, rp] += gained
-                    gain_cnt[r, s, rp] += 1
-                    if s_next is not None:
-                        trans_cnt[r, s, rp, s_next] += 1
+    cascades = iter_cascades(g, [(prop, [int(v)], derive_seed(rng_seed, "dp", r, sim))
+                                 for r, prop in enumerate(props) for sim in range(sims)], params)
+    probes, visits = [], []  # R probes per visited state, and its (r, s)
+    for i, rec in enumerate(cascades):
+        r, sim = divmod(i, sims)
+        # the active nodes in (activation time, node id) order
+        at = rec.activation_time
+        history = np.argsort(at, kind="stable")[np.count_nonzero(at < 0):]
+        steps, starts = np.unique(at[history], return_index=True)
+        ends = np.append(starts[1:], len(history))
+        for t, a, b in zip(steps[: cfg.horizon + 1].tolist(), starts, ends):
+            visits.append((r, _majority_segment(g, history[a:b])))
+            probes += [(prop, history[:b], derive_seed(rng_seed, "probe", r, sim, t, rp))
+                       for rp, prop in enumerate(props)]
+
+    one_step = replace(params, max_steps=1, drift=0.0)
+    for i, rec in enumerate(iter_cascades(g, probes, one_step)):
+        (r, s), rp = visits[i // R], i % R
+        gained = int(rec.new_per_step[1])
+        gain_sum[r, s, rp] += gained
+        gain_cnt[r, s, rp] += 1
+        if gained:
+            trans_cnt[r, s, rp, _majority_segment(g, rec.activation_time == 1)] += 1
 
     observed = gain_cnt[:, :, 0] > 0
     with np.errstate(invalid="ignore"):

@@ -437,13 +437,12 @@ def _draw(rows: _Rows, p: SimParams, rngs, eligible: np.ndarray, counts: list):
     return run, node[hits], np.bincount(run, minlength=R).tolist()
 
 
-def _activate_rows(rows: _Rows, g: WeightedGraph, run, node, t) -> None:
+def _activate_rows(rows: _Rows, g: WeightedGraph, run, node, t: int) -> None:
     """Activate the distinct cells (run[i], node[i]) at step ``t`` and credit
     their neighbours; with one row ``run`` is ignored.
 
-    ``t`` is one step for all cells or one per cell. One scatter over the
-    nodes' CSR rows, in the given order, adds to every neighbour cell in the
-    same order as activating the cells one by one.
+    One scatter over the nodes' CSR rows, in the given order, adds to every
+    neighbour cell in the same order as activating the cells one by one.
     """
     R, n = len(rows.active_count), rows.n
     pos = g.raw.row_positions(node)
@@ -658,7 +657,8 @@ def iter_cascades(g: WeightedGraph, runs, p: SimParams, tally: RunTally | None =
     """
     checked = []
     for c, seeds, rng_seed in runs:
-        seeds = check_seeds(g, seeds)
+        # an array holds a long seed list (a dp_policy probe's) in 8 bytes a seed
+        seeds = np.array(check_seeds(g, seeds), dtype=np.int64)
         checked.append((_checked_propagation(g, c), seeds, int(rng_seed)))
     row_cells = 5 * g.n
     if p.drift > 0.0:
@@ -687,7 +687,7 @@ def _run_chunk(g: WeightedGraph, runs, p: SimParams):
     rows = _fresh_rows(g, _affinities(g, [prop for prop, _, _ in runs]), own_live=p.drift > 0.0)
     sizes = [len(seeds) for _, seeds, _ in runs]
     _activate_rows(rows, g, np.arange(R).repeat(sizes),
-                   np.array([s for _, seeds, _ in runs for s in seeds], dtype=np.int64), 0)
+                   np.concatenate([seeds for _, seeds, _ in runs]), 0)
     rngs = [np.random.default_rng(rng_seed) for _, _, rng_seed in runs]
     live = list(range(R))  # input position of each row
     stable = [0] * R
@@ -704,7 +704,7 @@ def _run_chunk(g: WeightedGraph, runs, p: SimParams):
             prop, seeds, rng_seed = runs[i]
             records[i] = CascadeRecord(
                 params=p,
-                seed_set=tuple(seeds),
+                seed_set=tuple(seeds.tolist()),
                 propagation=prop,
                 rng_seed=rng_seed,
                 activation_time=rows.row("activation_time", r).copy(),

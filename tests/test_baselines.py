@@ -33,6 +33,13 @@ def test_config_validation():
         BaselineConfig(model="kcomplex", k=0)
 
 
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_constant_theta(theta):
+    # a finite theta outside [0, 1] stays a valid constant threshold
+    with pytest.raises(InvalidParameter, match="theta"):
+        BaselineConfig(model="lt", lt_dist=CONSTANT, lt_theta=theta)
+
+
 def test_ic_p_zero_and_one(pa_graph_small):
     g = pa_graph_small
     rec0 = run_ic(g, [5], 0.0, rng_seed=1)

@@ -589,6 +589,55 @@ def test_optimize_cli(graph_file, tmp_path):
     assert doc["trace"][1] >= doc["trace"][0]
 
 
+# every float key of these commands; each value must be refused before
+# anything is written, even where the command would not use the key
+FLOAT_KEYS = (
+    [("simulate", key) for key in ("alpha", "beta", "gamma", "lambda", "viral-fraction")]
+    + [("optimize", "perturb"), ("baseline", "p"), ("baseline", "theta")]
+)
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, key", FLOAT_KEYS)
+def test_non_finite_float_exits_2(graph_file, tmp_path, capsys, command, key, value, where):
+    # an LT baseline ignores --p, and zero rounds never perturb
+    argv = {
+        "simulate": _small_run(command, graph_file, tmp_path),
+        "optimize": _small_run(command, graph_file, tmp_path) + ["--rounds", "0"],
+        "baseline": ["--model", "lt", "--graph", str(graph_file), "--runs", "2",
+                     "--out", str(tmp_path / "runs.jsonl")],
+    }[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: float(value)}))
+    given = [f"--{key}={value}"] if where == "flag" else ["--config", str(cfg)]
+    assert run_cli(command, *argv, *given) == 2
+    assert f"error: {key}: " in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("bins", ["0", "-1"])
+@pytest.mark.parametrize("content", ["v\n1\n1\n2\n", "v\n"])
+def test_plot_hist_bins_below_one_exits_2(tmp_path, capsys, bins, content):
+    table = tmp_path / "h.csv"
+    table.write_text(content)
+    out = tmp_path / "h.svg"
+    assert run_cli("plot", "--table", str(table), "--kind", "hist", "--bins", bins,
+                   "--out", str(out)) == 2
+    assert "error: bins: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["core-targets", "top-deg"])
+def test_optimize_negative_pool_size_exits_2(graph_file, tmp_path, capsys, key):
+    # -1 once sliced away the farthest core target, or read as 0
+    out = tmp_path / "best.json"
+    assert run_cli("optimize", "--graph", str(graph_file), "--seed-node", "50", "--beam", "1",
+                   "--rounds", "0", "--sims", "2", f"--{key}=-1", "--out", str(out)) == 2
+    assert f"error: {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_plot_cli_line_hist_and_errors(tmp_path, capsys):
     table = tmp_path / "t.csv"
     write_csv(table, [{"x": 0, "y": 1.0}, {"x": 1, "y": 3.0}], ["x", "y"])

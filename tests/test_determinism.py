@@ -66,6 +66,10 @@ EXPECTED = {
         "a23575096c0da93d3b54515b9ade2301340449cffe152b3dfabd950f53d6584b",
     "optimizer.dp_policy.one_entry":
         "baf50cf296bf5c672f3ac4fe025a16cd880f2a3c6c9736227e6fef8425dc5c33",
+    "optimizer.dp_policy.spontaneous":
+        "ea4096d52fc36d98f7f7f71f8fe615b186ed0964ce0e8f4beffdafdd27465afa",
+    "optimizer.dp_policy.gamma_above_1":
+        "49234864c2b66c17a72c2a1d230e3dfe4c4cb47fb510ad1a96368f4f0fc717b9",
     "graph.edges":
         "c142d68c4081d10458d57f4261854ca434271f8a2009224630362ffc0729c803",
     "graph.edge_weights":
@@ -179,13 +183,17 @@ def test_dp_policy_tables(pa_graph_small):
 DP_PROBE_CASES = {
     "drift": (slice(None), 8, SimParams(gamma=0.15, max_steps=30, drift=0.4)),
     "one_entry": (slice(1), 3, SimParams(gamma=0.15, max_steps=30)),
+    "spontaneous": (slice(None), 3, SimParams(gamma=0.05, max_steps=30, require_contact=False)),
+    "gamma_above_1": (slice(None), 3, SimParams(gamma=1.6, max_steps=30)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DP_PROBE_CASES))
 def test_dp_policy_probe_tables(pa_graph_small, case):
     # under drift the cascades drift while the probes rebuild each visited
-    # state on the undrifted graph; one entry makes every probe a single row
+    # state on the undrifted graph; one entry makes every probe a single row;
+    # without the contact rule every inactive node draws in a probe, and
+    # above gamma 1 the probes' probabilities are clipped
     digest = _dp_digest(pa_graph_small, *DP_PROBE_CASES[case])
     assert digest == EXPECTED[f"optimizer.dp_policy.{case}"]
 
