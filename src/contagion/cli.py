@@ -317,7 +317,9 @@ def command(work):
 
 
 def _sim_params_from(opts) -> SimParams:
-    return SimParams(
+    """SimParams from the command's keys; a refused value is reported under
+    its flag's name (``max-steps``, not the field ``max_steps``)."""
+    kwargs = dict(
         alpha=opts.get("alpha", 1.0 / 3.0, float),
         beta=opts.get("beta", 1.0 / 3.0, float),
         gamma=opts.get("gamma", 0.05, float),
@@ -327,6 +329,11 @@ def _sim_params_from(opts) -> SimParams:
         viral_fraction=opts.get("viral-fraction", 0.5, float),
         require_contact=not opts.get("spontaneous", False, boolean),
     )
+    try:
+        return SimParams(**kwargs)
+    except InvalidParameter as err:
+        key = err.field.replace("_", "-")
+        raise InvalidParameter(key, str(err).removeprefix(f"{err.field}: ")) from None
 
 
 def _jobs_from(opts) -> int:

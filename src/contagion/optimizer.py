@@ -147,13 +147,26 @@ def estimate_spread(g: WeightedGraph, c, v: int, M: int, params: SimParams,
     Simulation i always runs under derive_seed(rng_seed, "sim", i), so calls
     with different vectors but the same rng_seed are paired sample-by-sample.
     """
+    return estimate_spreads(g, [c], v, M, params, rng_seed)[0]
+
+
+def estimate_spreads(g: WeightedGraph, props, v: int, M: int, params: SimParams,
+                     rng_seed: int) -> list:
+    """``estimate_spread`` of each propagation in ``props``, as one lockstep
+    call over candidate-major runs (all M simulations of the first, then
+    of the next), so each estimate equals its own call's bit for bit."""
     if M < 1:
         raise InvalidParameter("sims", "need at least one simulation")
-    runs = [(c, [v], derive_seed(rng_seed, "sim", i)) for i in range(M)]
+    seed_set = [v]
+    sim_seeds = [derive_seed(rng_seed, "sim", i) for i in range(M)]
+    runs = [(c, seed_set, sim_seed) for c in props for sim_seed in sim_seeds]
     spreads = np.fromiter((rec.final_spread for rec in iter_cascades(g, runs, params)),
-                          dtype=np.float64, count=M)
-    stderr = float(spreads.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0
-    return SpreadEstimate(mean=float(spreads.mean()), stderr=stderr, sims=M)
+                          dtype=np.float64, count=len(runs)).reshape(len(props), M)
+    estimates = []
+    for row in spreads:
+        stderr = float(row.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0
+        estimates.append(SpreadEstimate(mean=float(row.mean()), stderr=stderr, sims=M))
+    return estimates
 
 
 def beam_search(g: WeightedGraph, v: int, pool: CandidatePool, cfg: BeamConfig,
@@ -161,26 +174,26 @@ def beam_search(g: WeightedGraph, v: int, pool: CandidatePool, cfg: BeamConfig,
     """Rank the pool, then refine the beam with renormalized perturbations.
 
     Incumbents re-enter the beam each round, so under common random numbers
-    the best score never decreases across rounds.
+    the best score never decreases across rounds. A generation (the pool,
+    then each round's children) is scored in one ``estimate_spreads`` call
+    over the vectors not scored before.
     """
     if len(pool) == 0:
         raise InvalidParameter("pool", "candidate pool is empty")
 
     cache = {}
-    evaluations = 0
 
-    def score(vec: np.ndarray) -> SpreadEstimate:
-        nonlocal evaluations
-        key = vec.tobytes()
-        if key not in cache:
-            cache[key] = estimate_spread(g, vec_to_prop(vec), v, cfg.sims, params, rng_seed)
-            evaluations += 1
-        return cache[key]
+    def score(vecs) -> list:
+        fresh = {}
+        for vec in vecs:
+            key = vec.tobytes()
+            if key not in cache:
+                fresh.setdefault(key, vec)
+        props = [Propagation.from_vector(vec) for vec in fresh.values()]
+        cache.update(zip(fresh, estimate_spreads(g, props, v, cfg.sims, params, rng_seed)))
+        return [(cache[vec.tobytes()], vec) for vec in vecs]
 
-    def vec_to_prop(vec):
-        return Propagation.from_vector(vec)
-
-    scored = [(score(c.vec), i, c.vec) for i, c in enumerate(pool.candidates)]
+    scored = [(est, i, vec) for i, (est, vec) in enumerate(score([c.vec for c in pool.candidates]))]
     scored.sort(key=lambda item: (-item[0].mean, item[1]))
     beam = scored[: cfg.width]
     round_best = [beam[0][0].mean]
@@ -201,9 +214,10 @@ def beam_search(g: WeightedGraph, v: int, pool: CandidatePool, cfg: BeamConfig,
                         child = vec
                     else:
                         child = mixed / norm
-                children.append((score(child), next_index, child))
-                next_index += 1
-        merged = beam + children
+                children.append(child)
+        merged = beam + [(est, next_index + j, child)
+                         for j, (est, child) in enumerate(score(children))]
+        next_index += len(children)
         merged.sort(key=lambda item: (-item[0].mean, item[1]))
         beam = merged[: cfg.width]
         round_best.append(beam[0][0].mean)
@@ -214,7 +228,7 @@ def beam_search(g: WeightedGraph, v: int, pool: CandidatePool, cfg: BeamConfig,
         best_score=best_est.mean,
         best_stderr=best_est.stderr,
         round_best=tuple(round_best),
-        evaluations=evaluations,
+        evaluations=len(cache),
     )
 
 

@@ -336,14 +336,20 @@ class _Rows:
 
 def _affinities(g: WeightedGraph, props) -> np.ndarray:
     """Calibrated affinities of every node under each propagation, run r's
-    in row r of a flat (R * n,) array."""
-    n = g.n
-    affinity_hat = np.empty(len(props) * n)
-    for r, prop in enumerate(props):
-        # one matrix-vector product per run keeps each row's bits
-        affinity_hat[r * n:(r + 1) * n] = np.clip((1.0 + g.features.rows @ prop.vec) / 2.0,
-                                                  0.0, 1.0)
-    return affinity_hat
+    in row r of a flat (R * n,) array.
+
+    Consecutive runs whose vector is the same object share one
+    matrix-vector product, the same call on the same input a solo run
+    makes, so every row keeps its bits.
+    """
+    affinity_hat = np.empty((len(props), g.n))
+    r = 0
+    for _, stretch in groupby(props, key=lambda prop: id(prop.vec)):
+        stretch = list(stretch)
+        affinity_hat[r:r + len(stretch)] = np.clip(
+            (1.0 + g.features.rows @ stretch[0].vec) / 2.0, 0.0, 1.0)
+        r += len(stretch)
+    return affinity_hat.ravel()
 
 
 def _fresh_rows(g: WeightedGraph, affinity_hat: np.ndarray, own_live: bool) -> _Rows:
@@ -654,12 +660,20 @@ def iter_cascades(g: WeightedGraph, runs, p: SimParams, tally: RunTally | None =
     state cells and a batch's records are yielded, in input order, before
     the next batch starts, so a caller that drops each record holds at most
     one batch of them.
+
+    A propagation or seed list that is the same object as the previous
+    run's is checked once for the stretch, and its runs share the checked
+    value, so it must not change while ``runs`` is being read.
     """
     checked = []
+    last_c = last_seeds = prop = checked_seeds = object()
     for c, seeds, rng_seed in runs:
-        # an array holds a long seed list (a dp_policy probe's) in 8 bytes a seed
-        seeds = np.array(check_seeds(g, seeds), dtype=np.int64)
-        checked.append((_checked_propagation(g, c), seeds, int(rng_seed)))
+        if seeds is not last_seeds:
+            # an array holds a long seed list (a dp_policy probe's) in 8 bytes a seed
+            last_seeds, checked_seeds = seeds, np.array(check_seeds(g, seeds), dtype=np.int64)
+        if c is not last_c:
+            last_c, prop = c, _checked_propagation(g, c)
+        checked.append((prop, checked_seeds, int(rng_seed)))
     row_cells = 5 * g.n
     if p.drift > 0.0:
         row_cells += g.n * (1 + g.features.k) + len(g.raw.indices)

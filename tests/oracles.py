@@ -360,6 +360,62 @@ def reference_cascade(g, c, seeds, params, rng_seed):
 
 
 # ---------------------------------------------------------------------------
+# optimizer: the beam scored one candidate at a time
+
+
+def beam_search_reference(g, v, pool, cfg, params, rng_seed):
+    """``optimizer.beam_search`` as it was before generations were scored
+    in one lockstep call: each vector not yet cached is scored on its own,
+    by one engine call of ``cfg.sims`` runs, in the order it is asked for.
+    """
+    from contagion.optimizer import BeamResult, SpreadEstimate
+    from contagion.rng import derive_seed
+    from contagion.updyn import Propagation, iter_cascades
+
+    cache = {}
+
+    def score(vec):
+        key = vec.tobytes()
+        if key not in cache:
+            M = cfg.sims
+            runs = [(Propagation.from_vector(vec), [v], derive_seed(rng_seed, "sim", i))
+                    for i in range(M)]
+            spreads = np.fromiter((rec.final_spread for rec in iter_cascades(g, runs, params)),
+                                  dtype=np.float64, count=M)
+            stderr = float(spreads.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0
+            cache[key] = SpreadEstimate(mean=float(spreads.mean()), stderr=stderr, sims=M)
+        return cache[key]
+
+    scored = [(score(c.vec), i, c.vec) for i, c in enumerate(pool.candidates)]
+    scored.sort(key=lambda item: (-item[0].mean, item[1]))
+    beam = scored[: cfg.width]
+    round_best = [beam[0][0].mean]
+    next_index = len(pool.candidates)
+    for t in range(1, cfg.rounds + 1):
+        children = []
+        for slot, (_, _, vec) in enumerate(beam):
+            child_rng = np.random.default_rng(derive_seed(rng_seed, "perturb", t, slot))
+            for _ in range(cfg.spawn):
+                noise = child_rng.standard_normal(len(vec))
+                child = vec
+                if cfg.eps_perturb != 0.0:
+                    mixed = vec + cfg.eps_perturb * noise
+                    norm = float(np.linalg.norm(mixed))
+                    if norm >= 1e-12:
+                        child = mixed / norm
+                children.append((score(child), next_index, child))
+                next_index += 1
+        merged = beam + children
+        merged.sort(key=lambda item: (-item[0].mean, item[1]))
+        beam = merged[: cfg.width]
+        round_best.append(beam[0][0].mean)
+    best_est, _, best_vec = beam[0]
+    return BeamResult(best_vec=best_vec.copy(), best_score=best_est.mean,
+                      best_stderr=best_est.stderr, round_best=tuple(round_best),
+                      evaluations=len(cache))
+
+
+# ---------------------------------------------------------------------------
 # learner: the dict walks the compiled design replaced
 
 

@@ -105,6 +105,16 @@ def _small_run(command, graph, out_dir):
     }[command]]
 
 
+# values SimParams refuses; the error names the flag, not the field
+@pytest.mark.parametrize("key, value", [("viral-fraction", "2"), ("max-steps", "0")])
+@pytest.mark.parametrize("command", ["simulate", "optimize"])
+def test_sim_param_errors_name_the_flag(tmp_path, capsys, graph_file, command, key, value):
+    argv = _small_run(command, graph_file, tmp_path)
+    assert run_cli(command, *argv, f"--{key}", value) == 2
+    assert f"error: {key}: " in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command, key", NULL_KEYS)
 def test_null_config_value_exits_2(tmp_path, capsys, graph_file, command, key):
     cfg = tmp_path / "cfg.json"

@@ -16,7 +16,14 @@ import pytest
 from contagion.baselines import BaselineConfig, run_ic, run_kcomplex, run_lt
 from contagion.cli import dispatch
 from contagion.netgen import build_graph, load_graph, save_graph
-from contagion.optimizer import DpConfig, default_codebook, dp_policy
+from contagion.optimizer import (
+    BeamConfig,
+    DpConfig,
+    beam_search,
+    build_candidate_pool,
+    default_codebook,
+    dp_policy,
+)
 from contagion.updyn import (
     Propagation,
     SimParams,
@@ -70,6 +77,12 @@ EXPECTED = {
         "ea4096d52fc36d98f7f7f71f8fe615b186ed0964ce0e8f4beffdafdd27465afa",
     "optimizer.dp_policy.gamma_above_1":
         "49234864c2b66c17a72c2a1d230e3dfe4c4cb47fb510ad1a96368f4f0fc717b9",
+    "optimizer.beam_search.default":
+        "142180d8017701614cc0929034f9a18c858216f498c178f9a319245d05b50551",
+    "optimizer.beam_search.eps_zero":
+        "69efea8a94850b286bbd87cc72dfb8d901e1a12d4cd36aa8a71139e94f39e675",
+    "optimizer.beam_search.spontaneous":
+        "9df0b94257777effb3e744cb8d59b40ae4150fa6ecafc9e1968999f76fd03ca9",
     "graph.edges":
         "c142d68c4081d10458d57f4261854ca434271f8a2009224630362ffc0729c803",
     "graph.edge_weights":
@@ -196,6 +209,30 @@ def test_dp_policy_probe_tables(pa_graph_small, case):
     # above gamma 1 the probes' probabilities are clipped
     digest = _dp_digest(pa_graph_small, *DP_PROBE_CASES[case])
     assert digest == EXPECTED[f"optimizer.dp_policy.{case}"]
+
+
+# (beam config, params) from periphery seed 199; the default case keeps
+# BeamConfig's width, rounds, spawn and perturbation with fewer sims; at
+# eps_perturb = 0 every child repeats its parent, so each round is served
+# from the score cache
+BEAM_CASES = {
+    "default": (BeamConfig(sims=12), SimParams(gamma=0.15, max_steps=30)),
+    "eps_zero": (BeamConfig(width=3, rounds=2, eps_perturb=0.0, sims=12, spawn=3),
+                 SimParams(gamma=0.15, max_steps=30)),
+    "spontaneous": (BeamConfig(width=3, rounds=2, sims=12, spawn=4),
+                    SimParams(gamma=0.05, max_steps=30, require_contact=False)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BEAM_CASES))
+def test_beam_search_results(pa_graph_small, case):
+    g = pa_graph_small
+    cfg, params = BEAM_CASES[case]
+    pool = build_candidate_pool(g, 199, K=1, top_deg=3, core_targets=2)
+    res = beam_search(g, 199, pool, cfg, params, 8)
+    digest = _arrays_digest(res.best_vec, np.array([res.best_score, res.best_stderr]),
+                            np.array(res.round_best), np.array([res.evaluations]))
+    assert digest == EXPECTED[f"optimizer.beam_search.{case}"]
 
 
 def test_graph_build_bytes():
