@@ -157,11 +157,16 @@ def read_csv_table(path):
                     parsed.append(None)
                     continue
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise InvalidParameter(
                         "table", f"{path}: line {lineno}: non-numeric cell {cell!r}"
                     )
+                if not math.isfinite(value):
+                    raise InvalidParameter(
+                        "table", f"{path}: line {lineno}: non-finite cell {cell!r}"
+                    )
+                parsed.append(value)
             rows.append(parsed)
     return header, rows
 
@@ -385,6 +390,11 @@ def _run_fault(rec, n: int):
         return f"seed_set {seeds!r} is not a list of node ids in [0, {n})"
     if not isinstance(rec["activation_time"], list) or len(rec["activation_time"]) != n:
         return f"activation_time does not have one entry per node of the {n}-node graph"
+    spread, waves = rec["final_spread"], sum(rec["new_per_step"])
+    activated = sum(t is not None for t in rec["activation_time"])
+    if not spread == waves == activated:
+        return (f"final_spread {spread}, the {waves} adopters of new_per_step and the "
+                f"{activated} activation times do not agree")
     if not isinstance(viral_fraction, (int, float)):
         return "params.viral_fraction must be a number"
     return None

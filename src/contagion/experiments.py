@@ -66,8 +66,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_ints(self)
-        if self.runs_per_node < 1:
-            raise ConfigError("runs_per_node must be >= 1")
+        for name in ("runs_per_node", "graph_seeds", "seeds_per_graph", "segment_samples"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not isinstance(self.node_selection, str):
             raise ConfigError(f"node_selection: expected a string, got {self.node_selection!r}")
         _parse_selection(self.node_selection)
@@ -372,7 +373,10 @@ def rq2_growth_curves(cfg: ExperimentConfig, g: WeightedGraph | None = None, *,
 
 def rq3_size_scaling(cfg: ExperimentConfig, *, tally: RunTally | None = None) -> dict:
     """Time to virality and diameter as network size grows."""
-    sizes = tuple(int(x) for x in (cfg.sweep_values or DEFAULT_SIZES))
+    sizes = cfg.sweep_values or DEFAULT_SIZES
+    if not all(float(x).is_integer() for x in sizes):
+        raise ConfigError(f"sweep_values: network sizes must be whole numbers, got {list(sizes)}")
+    sizes = tuple(int(x) for x in sizes)
     rows = []
     for n in sizes:
         for gi in range(cfg.graph_seeds):

@@ -59,8 +59,9 @@ class BeamConfig:
             raise InvalidParameter("beam", "beam width must be >= 1")
         if self.rounds < 0:
             raise InvalidParameter("rounds", "rounds must be >= 0")
-        if self.eps_perturb < 0:
-            raise InvalidParameter("perturb", "perturbation scale must be >= 0")
+        if not 0.0 <= self.eps_perturb < np.inf:
+            raise InvalidParameter(
+                "perturb", f"perturbation scale must be finite and >= 0, got {self.eps_perturb}")
         if self.sims < 1:
             raise InvalidParameter("sims", "simulations per evaluation must be >= 1")
 
@@ -208,8 +209,12 @@ def beam_search(g: WeightedGraph, v: int, pool: CandidatePool, cfg: BeamConfig,
                 if cfg.eps_perturb == 0.0:
                     child = vec
                 else:
-                    mixed = vec + cfg.eps_perturb * noise
-                    norm = float(np.linalg.norm(mixed))
+                    with np.errstate(over="ignore"):
+                        mixed = vec + cfg.eps_perturb * noise
+                        norm = float(np.linalg.norm(mixed))
+                    if not np.isfinite(norm):
+                        raise InvalidParameter(
+                            "perturb", f"perturbation scale {cfg.eps_perturb} overflows a child")
                     if norm < 1e-12:
                         child = vec
                     else:

@@ -149,31 +149,55 @@ class SimParams:
 
 @dataclass
 class CascadeState:
-    """Mutable state owned by a single cascade run.
+    """State of R cascades on one graph, run r in row r; a single run is the
+    one-row case R = 1, which ``init_state`` builds and ``step`` advances.
 
-    ``active_wsum[v]`` caches the live-weight mass of v's active neighbors so
-    the scaled local influence is just ``active_wsum[v] / live_degree[v]``.
-    ``live_weights`` is the data array of the graph's weight CSR. Features,
-    weights and degrees are the graph's own arrays unless ``owns_live``, which
-    ``init_state`` sets under drift by giving the run copies to rewrite.
+    Every per-cell array is flat: cell ``r * n + v`` holds node v of run r,
+    so each row is the contiguous slice ``r * n : (r + 1) * n``.
+    ``active_wsum`` caches the live-weight mass of each cell's active
+    neighbours, so the scaled local influence is ``active_wsum / live_degree``.
+    Unless ``owns_live``, ``live_degree``, ``live_features`` and
+    ``live_weights`` are the graph's (n,), (n, k) and (nnz,) arrays, shared
+    by every row; with it each run has its own copies, flat like the rest,
+    (R * n,), (R * n, k) and (R * nnz,) with run r's weight at position pos
+    in cell ``r * nnz + pos``, which drift rewrites. ``step`` and
+    ``stable_steps`` are a lone run's counters, kept by ``step``. The scalar
+    probability helpers read a one-row state.
     """
 
-    active: np.ndarray
-    activation_time: np.ndarray  # -1 = never activated
-    step: int
-    stable_steps: int
-    active_count: int
-    active_nbr_count: np.ndarray
-    active_wsum: np.ndarray
+    n: int
+    active: np.ndarray  # (R * n,) bool
+    activation_time: np.ndarray  # (R * n,) int64, -1 = never activated
+    active_nbr_count: np.ndarray  # (R * n,) int64
+    active_wsum: np.ndarray  # (R * n,)
+    affinity_hat: np.ndarray  # (R * n,)
+    active_count: np.ndarray  # (R,) int64
     live_degree: np.ndarray
     live_features: np.ndarray
-    live_weights: np.ndarray  # aligned with g.raw.indices
-    affinity_hat: np.ndarray
+    live_weights: np.ndarray  # aligned with g.raw.indices, run after run
     owns_live: bool = False
+    step: int = 0
+    stable_steps: int = 0
 
-    @property
-    def n(self) -> int:
-        return len(self.active)
+    def row(self, name: str, r: int) -> np.ndarray:
+        """View of run r's slice of a per-cell array (one the state owns
+        per run, or any array of a one-row state)."""
+        cells = getattr(self, name)
+        size = len(cells) // len(self.active_count)
+        return cells[r * size:(r + 1) * size]
+
+    def take(self, keep: np.ndarray) -> "CascadeState":
+        """The rows selected by ``keep``, in order."""
+        names = ["active", "activation_time", "active_nbr_count", "active_wsum", "affinity_hat"]
+        if self.owns_live:
+            names += ["live_degree", "live_features", "live_weights"]
+        R = len(self.active_count)
+        kept = {}
+        for name in names:
+            cells = getattr(self, name)
+            kept[name] = cells.reshape(R, -1, *cells.shape[1:])[keep].reshape(-1, *cells.shape[1:])
+        kept["active_count"] = self.active_count[keep]
+        return replace(self, **kept)
 
 
 @dataclass(frozen=True)
@@ -256,7 +280,7 @@ def local_influence(v: int, state: CascadeState, g: WeightedGraph) -> float:
 
 def global_influence(state: CascadeState, n: int) -> float:
     """Network-wide adoption rate |S| / n."""
-    return state.active_count / n
+    return int(state.active_count[0]) / n
 
 
 def activation_prob(v: int, state: CascadeState, c, g: WeightedGraph, p: SimParams) -> float:
@@ -292,48 +316,6 @@ def _checked_propagation(g: WeightedGraph, c) -> Propagation:
 # lockstep engine: R runs on one graph, one run per row of the state
 
 
-@dataclass
-class _Rows:
-    """State of R cascades on one graph, run r in row r.
-
-    Node arrays are flat: cell ``r * n + v`` holds node v of run r, so each
-    row is the contiguous slice ``r * n : (r + 1) * n``. Unless ``own_live``,
-    ``live_degree``, ``live_features`` and ``live_weights`` are the graph's
-    (n,), (n, k) and (nnz,) arrays, shared by every row; with it each run
-    has its own (R * n,), (R, n, k) and (R, nnz) copies, which drift
-    rewrites.
-    """
-
-    n: int
-    active: np.ndarray  # (R * n,) bool
-    activation_time: np.ndarray  # (R * n,) int64, -1 = never activated
-    active_nbr_count: np.ndarray  # (R * n,) int64
-    active_wsum: np.ndarray  # (R * n,)
-    affinity_hat: np.ndarray  # (R * n,)
-    active_count: np.ndarray  # (R,) int64
-    live_degree: np.ndarray
-    live_features: np.ndarray
-    live_weights: np.ndarray
-    own_live: bool = False
-
-    def row(self, name: str, r: int) -> np.ndarray:
-        """View of run r's slice of a node array."""
-        return getattr(self, name)[r * self.n:(r + 1) * self.n]
-
-    def take(self, keep: np.ndarray) -> "_Rows":
-        """The rows selected by ``keep``, in order."""
-        R = len(self.active_count)
-        kept = {name: getattr(self, name).reshape(R, -1)[keep].ravel()
-                for name in ("active", "activation_time", "active_nbr_count", "active_wsum",
-                             "affinity_hat")}
-        kept["active_count"] = self.active_count[keep]
-        if self.own_live:
-            kept["live_degree"] = self.live_degree.reshape(R, -1)[keep].ravel()
-            kept["live_features"] = self.live_features[keep]
-            kept["live_weights"] = self.live_weights[keep]
-        return replace(self, **kept)
-
-
 def _affinities(g: WeightedGraph, props) -> np.ndarray:
     """Calibrated affinities of every node under each propagation, run r's
     in row r of a flat (R * n,) array.
@@ -352,16 +334,15 @@ def _affinities(g: WeightedGraph, props) -> np.ndarray:
     return affinity_hat.ravel()
 
 
-def _fresh_rows(g: WeightedGraph, affinity_hat: np.ndarray, own_live: bool) -> _Rows:
-    """Rows with nothing active, one per run of ``affinity_hat`` (see
+def _fresh_rows(g: WeightedGraph, affinity_hat: np.ndarray, own_live: bool) -> CascadeState:
+    """State with nothing active, one row per run of ``affinity_hat`` (see
     ``_affinities``)."""
     n = g.n
     R = len(affinity_hat) // n
     live = (g.weighted_degree, g.features.rows, g.weights.data)
     if own_live:
-        live = (np.tile(g.weighted_degree, R), np.repeat(g.features.rows[None], R, axis=0),
-                np.repeat(g.weights.data[None], R, axis=0))
-    return _Rows(
+        live = tuple(np.concatenate([cells] * R) for cells in live)
+    return CascadeState(
         n=n,
         active=np.zeros(R * n, dtype=bool),
         activation_time=np.full(R * n, -1, dtype=np.int64),
@@ -372,31 +353,11 @@ def _fresh_rows(g: WeightedGraph, affinity_hat: np.ndarray, own_live: bool) -> _
         live_degree=live[0],
         live_features=live[1],
         live_weights=live[2],
-        own_live=own_live,
+        owns_live=own_live,
     )
 
 
-def _rows_of(state: CascadeState) -> _Rows:
-    """One-row view of a single run's state; array writes go through to it."""
-    features, weights = state.live_features, state.live_weights
-    if state.owns_live:
-        features, weights = features[None], weights[None]
-    return _Rows(
-        n=state.n,
-        active=state.active,
-        activation_time=state.activation_time,
-        active_nbr_count=state.active_nbr_count,
-        active_wsum=state.active_wsum,
-        affinity_hat=state.affinity_hat,
-        active_count=np.array([state.active_count], dtype=np.int64),
-        live_degree=state.live_degree,
-        live_features=features,
-        live_weights=weights,
-        own_live=state.owns_live,
-    )
-
-
-def _eligible(rows: _Rows, p: SimParams):
+def _eligible(rows: CascadeState, p: SimParams):
     """Cells that draw this step, as flat indices in row-major order (so each
     run's nodes ascend), and the list of their counts per row."""
     mask = ~rows.active
@@ -408,7 +369,7 @@ def _eligible(rows: _Rows, p: SimParams):
     return eligible, np.add.reduce(mask.reshape(-1, rows.n), axis=1).tolist()
 
 
-def _draw(rows: _Rows, p: SimParams, rngs, eligible: np.ndarray, counts: list):
+def _draw(rows: CascadeState, p: SimParams, rngs, eligible: np.ndarray, counts: list):
     """Bernoulli draws over the eligible cells; a row may have none.
 
     Probabilities come from the pre-step state. Run r draws
@@ -427,7 +388,7 @@ def _draw(rows: _Rows, p: SimParams, rngs, eligible: np.ndarray, counts: list):
         node = eligible - run * n
         glob = (p.global_weight * (rows.active_count / n)).repeat(counts)
         draws = np.concatenate([rng.random(k) for rng, k in zip(rngs, counts)])
-    degree = rows.live_degree[eligible if rows.own_live else node]
+    degree = rows.live_degree[eligible if rows.owns_live else node]
     li = np.divide(rows.active_wsum[eligible], degree, out=np.zeros(len(eligible)),
                    where=degree > TIE_EPS)
     probs = p.gamma * (p.alpha * rows.affinity_hat[eligible] + p.beta * li + glob)
@@ -443,7 +404,7 @@ def _draw(rows: _Rows, p: SimParams, rngs, eligible: np.ndarray, counts: list):
     return run, node[hits], np.bincount(run, minlength=R).tolist()
 
 
-def _activate_rows(rows: _Rows, g: WeightedGraph, run, node, t: int) -> None:
+def _activate_rows(rows: CascadeState, g: WeightedGraph, run, node, t: int) -> None:
     """Activate the distinct cells (run[i], node[i]) at step ``t`` and credit
     their neighbours; with one row ``run`` is ignored.
 
@@ -455,12 +416,14 @@ def _activate_rows(rows: _Rows, g: WeightedGraph, run, node, t: int) -> None:
     cells = g.raw.indices[pos]
     if R == 1:
         # one row: cells are node ids
-        flat, weights = node, rows.live_weights.ravel()[pos]
+        flat, weights = node, rows.live_weights[pos]
         rows.active_count[0] += len(node)
     else:
         flat = run * n + node
         runs = run.repeat(g.raw.indptr[node + 1] - g.raw.indptr[node])
-        weights = rows.live_weights[runs, pos] if rows.own_live else rows.live_weights[pos]
+        if rows.owns_live:
+            pos = runs * len(g.raw.indices) + pos
+        weights = rows.live_weights[pos]
         cells = cells + runs * n
         rows.active_count += np.bincount(run, minlength=R)
     rows.active[flat] = True
@@ -469,7 +432,7 @@ def _activate_rows(rows: _Rows, g: WeightedGraph, run, node, t: int) -> None:
     np.add.at(rows.active_wsum, cells, weights)
 
 
-def _advance(rows: _Rows, g: WeightedGraph, p: SimParams, rngs, vecs: np.ndarray, t: int):
+def _advance(rows: CascadeState, g: WeightedGraph, p: SimParams, rngs, vecs: np.ndarray, t: int):
     """Advance every row one synchronous step, to step ``t``.
 
     Row r draws from ``rngs[r]``, its fired cells are activated and, under
@@ -487,7 +450,7 @@ def _advance(rows: _Rows, g: WeightedGraph, p: SimParams, rngs, vecs: np.ndarray
     return len(eligible), new
 
 
-def _drift_rows(rows: _Rows, g: WeightedGraph, run, node, t: int, vecs: np.ndarray,
+def _drift_rows(rows: CascadeState, g: WeightedGraph, run, node, t: int, vecs: np.ndarray,
                 lam: float) -> None:
     """Drift the cells (run[i], node[i]) activated at step ``t``, given in
     row-major order, toward their row's propagation ``vecs[run[i]]`` and
@@ -517,7 +480,7 @@ def _drift_rows(rows: _Rows, g: WeightedGraph, run, node, t: int, vecs: np.ndarr
     by_deg = deg.argsort(kind="stable")
     run, node, deg, own = run[by_deg], node[by_deg], deg[by_deg], cells[by_deg]
 
-    x = rows.live_features[run, node]
+    x = rows.live_features[own]
     mixed = (1.0 - lam) * x + lam * vecs[run]
     norm = np.sqrt(np.matmul(mixed[:, None, :], mixed[:, :, None]))[:, 0, 0]
     degenerate = norm < 1e-12
@@ -532,9 +495,9 @@ def _drift_rows(rows: _Rows, g: WeightedGraph, run, node, t: int, vecs: np.ndarr
     nbr_cell = erun * n + nbr
     is_new = rows.activation_time[nbr_cell] == t
     earlier = is_new & (nbr_cell < owner)
-    old = rows.live_features[erun, nbr]
-    rows.live_features[run, node] = new_x
-    seen = np.where(earlier[:, None], rows.live_features[erun, nbr], old)
+    old = rows.live_features[nbr_cell]
+    rows.live_features[own] = new_x
+    seen = np.where(earlier[:, None], rows.live_features[nbr_cell], old)
 
     # one stacked gemv per degree d, (N_d, d, k) @ (N_d, k, 1)
     groups, a, e = [], 0, 0  # (node slice, edge slice, degree)
@@ -594,26 +557,13 @@ def drift_update(x_v: np.ndarray, c, lam: float) -> np.ndarray:
 
 
 def init_state(g: WeightedGraph, c, seeds, p: SimParams) -> CascadeState:
-    """Fresh run state with the seed set active at time 0. Under drift it
+    """Fresh one-row state with the seed set active at time 0. Under drift it
     owns copies of the graph's degrees, features and weights for ``step`` to
     rewrite; otherwise it shares the graph's arrays."""
     seeds = check_seeds(g, seeds)
-    rows = _fresh_rows(g, _affinities(g, [_checked_propagation(g, c)]), own_live=p.drift > 0.0)
-    _activate_rows(rows, g, None, np.array(seeds, dtype=np.int64), 0)
-    return CascadeState(
-        active=rows.active,
-        activation_time=rows.activation_time,
-        step=0,
-        stable_steps=0,
-        active_count=int(rows.active_count[0]),
-        active_nbr_count=rows.active_nbr_count,
-        active_wsum=rows.active_wsum,
-        live_degree=rows.live_degree,
-        live_features=rows.live_features.reshape(g.n, g.features.k),
-        live_weights=rows.live_weights.ravel(),
-        affinity_hat=rows.affinity_hat,
-        owns_live=rows.own_live,
-    )
+    state = _fresh_rows(g, _affinities(g, [_checked_propagation(g, c)]), own_live=p.drift > 0.0)
+    _activate_rows(state, g, None, np.array(seeds, dtype=np.int64), 0)
+    return state
 
 
 def step(state: CascadeState, c, g: WeightedGraph, p: SimParams,
@@ -628,11 +578,9 @@ def step(state: CascadeState, c, g: WeightedGraph, p: SimParams,
     """
     if p.drift > 0.0 and not state.owns_live:
         raise InvalidParameter("lambda", "drift needs a state built by init_state with drift")
-    rows = _rows_of(state)
     vecs = as_propagation(c).vec[None] if p.drift > 0.0 else None
-    _, (new,) = _advance(rows, g, p, [rng], vecs, state.step + 1)
+    _, (new,) = _advance(state, g, p, [rng], vecs, state.step + 1)
     state.step += 1
-    state.active_count = int(rows.active_count[0])
     state.stable_steps = 0 if new else state.stable_steps + 1
     return new
 

@@ -863,6 +863,15 @@ def runs_60(tmp_path_factory):
     pytest.param("g60", lambda line: json.dumps({**json.loads(line), "seed_set": [999]}),
                  "seed_set [999]", id="seed-outside-graph"),
     pytest.param("g80", lambda line: line, "80-node graph", id="other-graph"),
+    # final_spread, new_per_step and activation_time must count the same run
+    pytest.param("g60", lambda line: json.dumps({**json.loads(line), "final_spread": 500}),
+                 "final_spread 500", id="spread-beyond-graph"),
+    pytest.param("g60", lambda line: json.dumps(
+        {**json.loads(line), "new_per_step": json.loads(line)["new_per_step"] + [1]}),
+        "do not agree", id="extra-wave"),
+    pytest.param("g60", lambda line: json.dumps(
+        {**json.loads(line), "activation_time": [None] * 60}),
+        "0 activation times", id="no-activation-times"),
 ])
 def test_analyze_rejects_runs_it_cannot_read(runs_60, tmp_path, capsys, graph, edit, says):
     lines = (runs_60 / "runs.jsonl").read_text().splitlines()
@@ -876,6 +885,24 @@ def test_analyze_rejects_runs_it_cannot_read(runs_60, tmp_path, capsys, graph, e
     assert f"error: runs: {runs}: line {1 if graph == 'g80' else 2}:" in err
     assert says in err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seeds", "0,3", "--lambda", "0.3"],
+    ["simulate", "--spontaneous", "--gamma", "0.02", "--max-steps", "6"],
+    ["baseline", "--model", "ic", "--seeds", "0,3"],
+    ["baseline", "--model", "lt"],
+    ["baseline", "--model", "kcomplex", "--seeds", "0,1,2"],
+], ids=["up-drift", "up-spontaneous", "ic", "lt", "kcomplex"])
+def test_analyze_reads_simulate_and_baseline_output(graph_file, tmp_path, argv):
+    # every record the simulators write passes analyze's consistency check
+    runs = tmp_path / "runs.jsonl"
+    assert run_cli(*argv, "--graph", str(graph_file), "--runs", "4", "--seed", "2",
+                   "--out", str(runs)) == 0
+    report = tmp_path / "report.json"
+    assert run_cli("analyze", "--runs", str(runs), "--graph", str(graph_file),
+                   "--report", str(report)) == 0
+    assert sum(json.loads(report.read_text())["spread_histogram"]["counts"]) == 4
 
 
 @pytest.mark.parametrize("doc, key", [({"graph": {"n": "60"}}, "graph: n"),
@@ -907,6 +934,47 @@ def test_experiment_config_mistyped_fields_exit_2(tmp_path, capsys, doc, says):
                    "--out-dir", str(tmp_path / "r")) == 2
     assert f"error: {says}" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("rq, doc, says", [
+    (3, {"graph_seeds": 0}, "graph_seeds must be >= 1"),
+    (3, {"seeds_per_graph": 0}, "seeds_per_graph must be >= 1"),
+    (2, {"segment_samples": -1}, "segment_samples must be >= 1"),
+    (3, {"sweep_values": [60.7, 80]}, "sweep_values: network sizes must be whole numbers"),
+], ids=["no-graph-seeds", "no-seeds-per-graph", "negative-segment-samples", "fractional-size"])
+def test_experiment_counts_exit_2(tmp_path, capsys, rq, doc, says):
+    cfg = tmp_path / "exp.json"
+    small = {"graph": {"n": 60, "r": 2, "embed_dim": 4, "seed": 1}, "runs_per_node": 1,
+             "seeds_per_graph": 2, "graph_seeds": 1}
+    cfg.write_text(json.dumps({**small, **doc}))
+    assert run_cli("experiment", "--rq", str(rq), "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "r")) == 2
+    assert f"error: {says}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("kind, content, cell", [
+    ("line", "x,y\n0,1\n1,nan\n", "nan"),
+    ("line", "x,y\n0,1\ninf,2\n", "inf"),
+    ("hist", "v\n1\n-inf\n", "-inf"),
+    ("hist", "v\n1\nNaN\n", "NaN"),
+], ids=["line-nan", "line-inf", "hist-minus-inf", "hist-NaN"])
+def test_plot_refuses_non_finite_cells(tmp_path, capsys, kind, content, cell):
+    table = tmp_path / "t.csv"
+    table.write_text(content)
+    out = tmp_path / "t.svg"
+    assert run_cli("plot", "--table", str(table), "--kind", kind, "--out", str(out)) == 2
+    assert f"error: table: {table}: line 3: non-finite cell {cell!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_optimize_perturbation_overflowing_a_child_exits_2(graph_file, tmp_path, capsys):
+    # the scale is finite, but a child's squared norm overflows
+    out = tmp_path / "best.json"
+    assert run_cli("optimize", "--graph", str(graph_file), "--seed-node", "50", "--beam", "1",
+                   "--rounds", "1", "--sims", "2", "--perturb", "1e200", "--out", str(out)) == 2
+    assert "error: perturb: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("doc", [

@@ -24,6 +24,7 @@ from contagion.updyn import (
     run_cascade,
     run_cascades,
     self_propagation,
+    step,
 )
 from tests.conftest import Draws
 from tests.oracles import DriftReference, reference_cascade
@@ -106,6 +107,26 @@ def test_lockstep_matches_reference(pa_graph_small, path):
     _assert_matches_reference(g, runs, params, records, tally)
 
 
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_step_loop_is_the_one_row_batch(pa_graph_small, path):
+    # init_state and step advance the same one-row state run_cascade does,
+    # so stepping a run by hand until it cools or hits the cap reproduces
+    # its record under the same generator
+    g, params = pa_graph_small, PATHS[path]
+    max_steps = params.resolve_max_steps(g.n)
+    for c, seeds, rng_seed in _mixed_runs(g, 8, seed=13):
+        rec = run_cascade(g, c, seeds, params, rng_seed)
+        state = init_state(g, c, seeds, params)
+        rng = np.random.default_rng(rng_seed)
+        waves = [len(seeds)]
+        while state.stable_steps < params.epsilon and state.step < max_steps:
+            waves.append(step(state, c, g, params, rng))
+        assert np.array_equal(state.activation_time, rec.activation_time)
+        assert np.array_equal(np.array(waves, dtype=np.int64), rec.new_per_step)
+        assert (int(state.active_count[0]), state.step, state.stable_steps < params.epsilon) == \
+            (rec.final_spread, rec.converged_at, rec.hit_cap)
+
+
 def test_dead_and_viral_runs_share_a_batch(pa_graph_small):
     # with a one-step cooling period a run whose first step activates
     # nobody ends at step 1, while its neighbours in the batch go viral
@@ -150,16 +171,14 @@ def test_batch_larger_than_one_chunk(pa_graph_small, monkeypatch, drift):
     _assert_matches_reference(g, runs, params, chunked, tally)
 
 
-def _stacked(states) -> updyn._Rows:
+def _stacked(states) -> updyn.CascadeState:
     """One lockstep state whose row r is ``states[r]``, each owning its live
     arrays."""
     cat = {name: np.concatenate([getattr(s, name) for s in states])
            for name in ("active", "activation_time", "active_nbr_count", "active_wsum",
-                        "affinity_hat", "live_degree")}
-    return updyn._Rows(n=states[0].n, **cat,
-                       active_count=np.array([s.active_count for s in states], dtype=np.int64),
-                       live_features=np.stack([s.live_features for s in states]),
-                       live_weights=np.stack([s.live_weights for s in states]), own_live=True)
+                        "affinity_hat", "active_count", "live_degree", "live_features",
+                        "live_weights")}
+    return updyn.CascadeState(n=states[0].n, **cat, owns_live=True)
 
 
 def test_drift_rows_match_node_by_node_oracle(pa_graph_small):
@@ -181,7 +200,7 @@ def test_drift_rows_match_node_by_node_oracle(pa_graph_small):
         for r, ref in enumerate(refs):
             ref.advance(np.flatnonzero(rows.row("activation_time", r) == t), t)
             assert ref.matches(rows.row("activation_time", r), rows.row("live_degree", r),
-                               rows.live_features[r], rows.live_weights[r],
+                               rows.row("live_features", r), rows.row("live_weights", r),
                                rows.row("active_wsum", r)), (t, r)
 
 

@@ -42,6 +42,18 @@ def test_config_roundtrip_and_errors():
         ExperimentConfig.from_dict({**doc, "unknown_field": 3})
 
 
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("key", ["graph_seeds", "seeds_per_graph", "segment_samples"])
+def test_config_counts_below_one(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be >= 1"):
+        ExperimentConfig.from_dict({**small_cfg().to_dict(), key: value})
+
+
+def test_rq3_refuses_fractional_sizes():
+    with pytest.raises(ConfigError, match="sweep_values: network sizes must be whole numbers"):
+        rq3_size_scaling(small_cfg(sweep_values=(60.7, 80), graph_seeds=1, seeds_per_graph=1))
+
+
 def test_select_nodes_modes(pa_graph_small):
     g = pa_graph_small
     cfg = small_cfg(node_selection="all")

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,23 @@ def test_beam_scores_non_decreasing(pa_graph_small):
     result = beam_search(g, 42, pool, cfg, params, rng_seed=3)
     assert len(result.round_best) == 4
     assert np.all(np.diff(result.round_best) >= 0)
+
+
+@pytest.mark.parametrize("eps", [np.inf, np.nan, -0.1])
+def test_beam_config_refuses_bad_perturbation(eps):
+    with pytest.raises(InvalidParameter, match="perturb"):
+        BeamConfig(eps_perturb=eps)
+
+
+def test_beam_perturbation_overflow_names_perturb(pa_graph_small):
+    # the scale is finite, but each child's squared norm overflows
+    g, pool, params = beam_fixture(pa_graph_small)
+    cfg = BeamConfig(width=2, rounds=1, eps_perturb=1e200, sims=2, spawn=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameter) as err:
+            beam_search(g, 42, pool, cfg, params, rng_seed=3)
+    assert err.value.field == "perturb"
 
 
 def test_beam_empty_pool_errors(pa_graph_small):
