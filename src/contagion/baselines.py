@@ -63,7 +63,8 @@ def _record(cfg, seeds, rng_seed, activation_time, new_per_step, steps):
         rng_seed=rng_seed,
         activation_time=activation_time,
         new_per_step=np.array(new_per_step, dtype=np.int64),
-        final_spread=int(np.sum(activation_time >= 0)),
+        # each node is counted once, in the wave that activated it
+        final_spread=sum(new_per_step),
         converged_at=steps,
         hit_cap=False,
         model=cfg.model,
@@ -75,31 +76,37 @@ def run_ic(g: WeightedGraph, seeds, p: float, rng_seed: int) -> CascadeRecord:
 
     Every node activated in round t-1 gets one Bernoulli(p) attempt on each
     still-inactive neighbor in round t; the process stops when a round
-    produces no activation. Frontier nodes go in ascending order, each
-    drawing ``rng.random(k)`` for its k neighbours still inactive at that
-    moment: the same uniforms as one scalar draw per edge.
+    produces no activation. A round walks its (frontier node, neighbour)
+    pairs with the frontier ascending and each row in CSR order, and takes
+    the run's next uniform for each pair whose target is still inactive at
+    that moment. A run costs O(attempts): uniforms come in doubling chunks,
+    and the unused tail goes with the run's own generator.
     """
     cfg = BaselineConfig(model=IC, ic_p=p)
     seeds = check_seeds(g, seeds)
     rng = np.random.default_rng(int(rng_seed))
-    n = g.n
-    activation_time = np.full(n, -1, dtype=np.int64)
-    activation_time[seeds] = 0
+    raw = g.raw
+    times = dict.fromkeys(seeds, 0)
     frontier = sorted(seeds)
     new_per_step = [len(seeds)]
+    hits, used, chunk = [], 0, 16
     t = 0
     while frontier:
         t += 1
         newly = []
-        for v in frontier:
-            nbrs = g.raw.neighbors(v)
-            nbrs = nbrs[activation_time[nbrs] < 0]
-            if len(nbrs):
-                hit = nbrs[rng.random(len(nbrs)) < p]
-                activation_time[hit] = t
-                newly += hit.tolist()
+        for u in raw.indices[raw.row_positions(frontier)].tolist():
+            if u in times:
+                continue
+            if used == len(hits):
+                hits, used, chunk = (rng.random(chunk) < p).tolist(), 0, 2 * chunk
+            if hits[used]:
+                times[u] = t
+                newly.append(u)
+            used += 1
         frontier = sorted(newly)
         new_per_step.append(len(newly))
+    activation_time = np.full(g.n, -1, dtype=np.int64)
+    activation_time[list(times)] = list(times.values())
     return _record(cfg, seeds, int(rng_seed), activation_time, new_per_step, t)
 
 

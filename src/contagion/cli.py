@@ -345,8 +345,17 @@ def _jobs_from(opts) -> int:
     val = opts.get("jobs", None, int)
     if val is None:
         val = _typed("jobs", os.environ.get("CONTAGION_JOBS", 1), int)
-    opts.config["jobs"] = jobs = max(1, val)
-    return jobs
+    if val < 1:
+        raise InvalidParameter("jobs", f"need at least 1 worker, got {val}")
+    opts.config["jobs"] = val
+    return val
+
+
+def _seed(opts, key: str = "seed") -> int:
+    seed = opts.get(key, 0, int)
+    if seed < 0:
+        raise InvalidParameter(key, f"must be >= 0, got {seed}")
+    return seed
 
 
 def _run_count(opts) -> int:
@@ -451,7 +460,7 @@ def cmd_simulate(opts) -> Done:
     seeds = _parse_seeds(opts.get("seeds", "0"))
     prop_mode = str(opts.get("prop", "self"))
     n_runs = _run_count(opts)
-    master_seed = opts.get("seed", 0, int)
+    master_seed = _seed(opts)
     params = _sim_params_from(opts)
     jobs = _jobs_from(opts)
 
@@ -488,7 +497,7 @@ def cmd_baseline(opts) -> Done:
     out = opts.get("out", "runs.jsonl")
     seeds = _parse_seeds(opts.get("seeds", "0"))
     n_runs = _run_count(opts)
-    master_seed = opts.get("seed", 0, int)
+    master_seed = _seed(opts)
     p = opts.get("p", None, float)
     theta = opts.get("theta", None, float)
     k = opts.get("k", None, int)
@@ -610,7 +619,7 @@ def cmd_learn(opts) -> Done:
     form = str(opts.get("form", "sum"))
     steps = opts.get("steps", 200, int)
     lr = opts.get("lr", 0.01, float)
-    master_seed = opts.get("seed", 0, int)
+    master_seed = _seed(opts)
     augment = opts.get("augment", False, boolean)
     out = opts.get("out", "model.json")
 
@@ -625,7 +634,7 @@ def cmd_learn_eval(opts) -> Done:
     model_path = opts.path("model")
     host, traces, int_ids = _learner_inputs(opts)
     test_fraction = opts.get("test-fraction", 0.2, float)
-    split_seed = opts.get("split-seed", 0, int)
+    split_seed = _seed(opts, "split-seed")
     out = opts.get("out", "eval.json")
 
     params = load_model(model_path, int_ids=int_ids)
@@ -644,7 +653,7 @@ def cmd_optimize(opts) -> Done:
     sims = opts.get("sims", 200, int)
     top_deg = opts.get("top-deg", 10, int)
     core_targets = opts.get("core-targets", None, int)
-    master_seed = opts.get("seed", 0, int)
+    master_seed = _seed(opts)
     out = opts.get("out", "best.json")
 
     g = load_graph(graph_path)

@@ -66,9 +66,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_ints(self)
-        for name in ("runs_per_node", "graph_seeds", "seeds_per_graph", "segment_samples"):
+        for name in ("runs_per_node", "graph_seeds", "seeds_per_graph", "segment_samples", "jobs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if not isinstance(self.node_selection, str):
             raise ConfigError(f"node_selection: expected a string, got {self.node_selection!r}")
         _parse_selection(self.node_selection)

@@ -8,6 +8,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
 
 from contagion.netgen import (  # noqa: E402
     RawGraph,
@@ -16,6 +17,11 @@ from contagion.netgen import (  # noqa: E402
     build_graph,
     make_unit_features,
 )
+
+# HYPOTHESIS_PROFILE=ci replays the same examples on every run and prints the
+# blob that reproduces a failure; without it each run explores afresh
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -359,6 +359,46 @@ def reference_cascade(g, c, seeds, params, rng_seed):
             stable < params.epsilon, draws)
 
 
+def reference_ic(g, seeds, p, rng_seed):
+    """Independent cascade one frontier node at a time: the reference
+    ``baselines.run_ic`` must match bit for bit.
+
+    Frontier nodes go in ascending order, each drawing ``rng.random(k)`` for
+    its k neighbours still inactive at that moment. Returns the run's
+    ``CascadeRecord``.
+    """
+    from contagion.baselines import IC, BaselineConfig
+    from contagion.updyn import CascadeRecord, check_seeds
+
+    cfg = BaselineConfig(model=IC, ic_p=p)
+    seeds = check_seeds(g, seeds)
+    rng = np.random.default_rng(int(rng_seed))
+    n = g.n
+    activation_time = np.full(n, -1, dtype=np.int64)
+    activation_time[seeds] = 0
+    frontier = sorted(seeds)
+    new_per_step = [len(seeds)]
+    t = 0
+    while frontier:
+        t += 1
+        newly = []
+        for v in frontier:
+            nbrs = g.raw.neighbors(v)
+            nbrs = nbrs[activation_time[nbrs] < 0]
+            if len(nbrs):
+                hit = nbrs[rng.random(len(nbrs)) < p]
+                activation_time[hit] = t
+                newly += hit.tolist()
+        frontier = sorted(newly)
+        new_per_step.append(len(newly))
+    return CascadeRecord(
+        params=cfg, seed_set=tuple(seeds), propagation=None, rng_seed=int(rng_seed),
+        activation_time=activation_time, new_per_step=np.array(new_per_step, dtype=np.int64),
+        final_spread=int(np.sum(activation_time >= 0)), converged_at=t, hit_cap=False,
+        model=cfg.model,
+    )
+
+
 # ---------------------------------------------------------------------------
 # optimizer: the beam scored one candidate at a time
 

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contagion.baselines import (
     CONSTANT,
@@ -12,6 +16,7 @@ from contagion.baselines import (
 from contagion.errors import InvalidParameter
 from contagion.netgen import assign_edge_weights, make_unit_features
 from tests.conftest import raw_from_edges, uniform_feature_graph
+from tests.oracles import reference_ic
 
 
 def star_graph(n_leaves=5):
@@ -73,6 +78,79 @@ def test_ic_monotone_in_p(pa_graph_small):
         means.append(np.mean(spreads))
     diffs = np.diff(means)
     assert np.sum(diffs < 0) <= 1  # allow one inversion from noise
+
+
+def _assert_same_run(rec, ref):
+    assert rec.activation_time.dtype == ref.activation_time.dtype
+    assert np.array_equal(rec.activation_time, ref.activation_time)
+    assert rec.new_per_step.dtype == ref.new_per_step.dtype
+    assert np.array_equal(rec.new_per_step, ref.new_per_step)
+    assert rec.final_spread == ref.final_spread
+    assert rec.converged_at == ref.converged_at
+    assert rec.seed_set == ref.seed_set
+    assert json.dumps(rec.to_dict()).encode() == json.dumps(ref.to_dict()).encode()
+
+
+@pytest.mark.parametrize("p", [0.1, 0.25, 0.5, 0.9])
+@pytest.mark.parametrize("where", ["hub", "periphery"])
+def test_ic_matches_frontier_oracle(pa_graph_small, where, p):
+    g = pa_graph_small
+    degree = g.raw.degree
+    v = int(np.argmax(degree)) if where == "hub" else int(np.flatnonzero(degree == degree.min())[-1])
+    for rng_seed in range(50):
+        _assert_same_run(run_ic(g, [v], p, rng_seed), reference_ic(g, [v], p, rng_seed))
+
+
+@st.composite
+def ic_cases(draw):
+    """Small graphs with isolated nodes, and a seed list in drawn order."""
+    shape = draw(st.sampled_from(["random", "crossed", "star", "triangle", "shared"]))
+    isolated = draw(st.integers(0, 2))
+    if shape == "random":
+        n = draw(st.integers(1, 12))
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3 * n))
+        edges = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
+        must = []
+    elif shape == "crossed":
+        # seed 0's neighbours all have larger labels than seed 1's, so round
+        # 1's hits come out of ascending order; each has leaves of its own
+        k, leaves = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        low, high = range(2, 2 + k), range(2 + k, 2 + 2 * k)
+        edges = [(1, v) for v in low] + [(0, v) for v in high]
+        n, must = 2 + 2 * k, [0, 1]
+        for v in [*low, *high]:
+            edges += [(v, n + j) for j in range(leaves)]
+            n += leaves
+    elif shape == "star":
+        n = draw(st.integers(2, 8))
+        edges, must = [(0, i) for i in range(1, n)], []
+    elif shape == "triangle":
+        n, edges, must = 3, [(0, 1), (0, 2), (1, 2)], []
+    else:
+        # frontier nodes 0 and 1 share the inactive neighbours 2..n-1
+        n = draw(st.integers(3, 9))
+        edges = [(a, b) for a in (0, 1) for b in range(2, n)]
+        edges += [(a, b) for a, b in draw(st.lists(
+            st.tuples(st.integers(2, n - 1), st.integers(2, n - 1)), max_size=n)) if a < b]
+        edges, must = sorted(set(edges)), [0, 1]
+    n += isolated
+    g = uniform_feature_graph(n, edges)
+    rest = [v for v in range(n) if v not in must]
+    extra = draw(st.lists(st.sampled_from(rest), unique=True, max_size=3)) if rest else []
+    seeds = draw(st.permutations(must + extra)) if must else draw(
+        st.lists(st.integers(0, n - 1), unique=True, min_size=1, max_size=4))
+    # bare floats crowd the ends of [0, 1], where the order of the draws
+    # barely shows; the middle range makes deep cascades with mixed outcomes
+    p = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0), st.floats(0.4, 0.8)))
+    return g, seeds, p, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=600, deadline=None)
+@given(ic_cases())
+def test_ic_matches_frontier_oracle_generated(case):
+    g, seeds, p, rng_seed = case
+    _assert_same_run(run_ic(g, seeds, p, rng_seed), reference_ic(g, seeds, p, rng_seed))
 
 
 def test_lt_theta_zero_fills_component(pa_graph_small):

@@ -843,6 +843,51 @@ def test_run_count_below_one_exits_2(graph_file, tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, given, key", [
+    ("simulate", ["--jobs", "-2", "--seed", "-4"], "seed"),
+    ("simulate", ["--jobs", "-2"], "jobs"),
+    ("simulate", ["--jobs", "0"], "jobs"),
+    ("simulate", ["--config", {"jobs": 0}], "jobs"),
+    ("simulate", ["--config", {"seed": -1}], "seed"),
+    ("baseline", ["--seed", "-4"], "seed"),
+    ("optimize", ["--seed", "-3"], "seed"),
+], ids=["simulate-both", "simulate-jobs", "simulate-no-jobs", "simulate-config-jobs",
+        "simulate-config-seed", "baseline-seed", "optimize-seed"])
+def test_worker_count_and_master_seed_below_domain_exit_2(graph_file, tmp_path, capsys, command,
+                                                         given, key):
+    if given[0] == "--config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(given[1]))
+        given = ["--config", str(cfg)]
+    argv = _small_run(command, graph_file, tmp_path / "out")
+    assert run_cli(command, *argv, *given) == 2
+    assert f"error: {key}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_jobs_from_environment_below_one_exits_2(graph_file, tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("CONTAGION_JOBS", value)
+    argv = _small_run("simulate", graph_file, tmp_path / "out")
+    assert run_cli("simulate", *argv) == 2
+    assert "error: jobs: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, key", [("learn", "seed"), ("learn-eval", "split-seed")])
+def test_learner_negative_seed_exits_2(tmp_path, capsys, command, key):
+    trust, ratings = _learner_logs(tmp_path)
+    model = tmp_path / "model.json"
+    assert run_cli("learn", "--trust", str(trust), "--ratings", str(ratings), "--steps", "2",
+                   "--out", str(model)) == 0
+    given = ["--model", str(model)] if command == "learn-eval" else []
+    out = tmp_path / "out" / "result.json"
+    assert run_cli(command, *given, "--trust", str(trust), "--ratings", str(ratings),
+                   f"--{key}", "-1", "--out", str(out)) == 2
+    assert f"error: {key}: " in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 @pytest.fixture(scope="module")
 def runs_60(tmp_path_factory):
     """Runs simulated on a 60-node graph, with that graph and an 80-node one."""
@@ -941,7 +986,11 @@ def test_experiment_config_mistyped_fields_exit_2(tmp_path, capsys, doc, says):
     (3, {"seeds_per_graph": 0}, "seeds_per_graph must be >= 1"),
     (2, {"segment_samples": -1}, "segment_samples must be >= 1"),
     (3, {"sweep_values": [60.7, 80]}, "sweep_values: network sizes must be whole numbers"),
-], ids=["no-graph-seeds", "no-seeds-per-graph", "negative-segment-samples", "fractional-size"])
+    (1, {"jobs": -3, "master_seed": -5}, "jobs must be >= 1"),
+    (1, {"jobs": 0}, "jobs must be >= 1"),
+    (1, {"master_seed": -5}, "master_seed must be >= 0"),
+], ids=["no-graph-seeds", "no-seeds-per-graph", "negative-segment-samples", "fractional-size",
+        "negative-jobs-and-master-seed", "no-jobs", "negative-master-seed"])
 def test_experiment_counts_exit_2(tmp_path, capsys, rq, doc, says):
     cfg = tmp_path / "exp.json"
     small = {"graph": {"n": 60, "r": 2, "embed_dim": 4, "seed": 1}, "runs_per_node": 1,
