@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .netgen import WeightedGraph
-from .updyn import TIE_EPS, CascadeRecord, check_seeds
+from .updyn import TIE_EPS, CascadeRecord, check_rng_seed, check_seeds
 
 IC = "ic"
 LT = "lt"
@@ -84,7 +84,8 @@ def run_ic(g: WeightedGraph, seeds, p: float, rng_seed: int) -> CascadeRecord:
     """
     cfg = BaselineConfig(model=IC, ic_p=p)
     seeds = check_seeds(g, seeds)
-    rng = np.random.default_rng(int(rng_seed))
+    rng_seed = check_rng_seed(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     raw = g.raw
     times = dict.fromkeys(seeds, 0)
     frontier = sorted(seeds)
@@ -107,7 +108,7 @@ def run_ic(g: WeightedGraph, seeds, p: float, rng_seed: int) -> CascadeRecord:
         new_per_step.append(len(newly))
     activation_time = np.full(g.n, -1, dtype=np.int64)
     activation_time[list(times)] = list(times.values())
-    return _record(cfg, seeds, int(rng_seed), activation_time, new_per_step, t)
+    return _record(cfg, seeds, rng_seed, activation_time, new_per_step, t)
 
 
 def _threshold_run(g, seeds, weights, reached, cfg, rng_seed) -> CascadeRecord:
@@ -147,7 +148,8 @@ def run_lt(g: WeightedGraph, seeds, cfg: BaselineConfig, rng_seed: int) -> Casca
     if cfg.model != LT:
         raise InvalidParameter("model", "config is not an LT config")
     seeds = check_seeds(g, seeds)
-    rng = np.random.default_rng(int(rng_seed))
+    rng_seed = check_rng_seed(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     n = g.n
     if cfg.lt_dist == UNIFORM:
         theta = rng.random(n)
@@ -161,7 +163,7 @@ def run_lt(g: WeightedGraph, seeds, cfg: BaselineConfig, rng_seed: int) -> Casca
         influence = np.divide(active_wsum, g.weighted_degree, out=np.zeros(n), where=has_mass)
         return influence >= theta
 
-    return _threshold_run(g, seeds, g.weights.data, reached, cfg, int(rng_seed))
+    return _threshold_run(g, seeds, g.weights.data, reached, cfg, rng_seed)
 
 
 def run_kcomplex(g: WeightedGraph, seeds, k: int) -> CascadeRecord:

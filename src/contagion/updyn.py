@@ -305,6 +305,14 @@ def check_seeds(g: WeightedGraph, seeds) -> list:
     return seeds
 
 
+def check_rng_seed(rng_seed) -> int:
+    """A run's generator seed as an int; raises unless it is a non-negative
+    Python or numpy integer (a bool is refused)."""
+    if not _is_int(rng_seed) or rng_seed < 0:
+        raise InvalidParameter("rng_seed", f"must be a non-negative integer, got {rng_seed!r}")
+    return int(rng_seed)
+
+
 def _checked_propagation(g: WeightedGraph, c) -> Propagation:
     prop = as_propagation(c)
     if len(prop.vec) != g.features.k:
@@ -621,7 +629,7 @@ def iter_cascades(g: WeightedGraph, runs, p: SimParams, tally: RunTally | None =
             last_seeds, checked_seeds = seeds, np.array(check_seeds(g, seeds), dtype=np.int64)
         if c is not last_c:
             last_c, prop = c, _checked_propagation(g, c)
-        checked.append((prop, checked_seeds, int(rng_seed)))
+        checked.append((prop, checked_seeds, check_rng_seed(rng_seed)))
     row_cells = 5 * g.n
     if p.drift > 0.0:
         row_cells += g.n * (1 + g.features.k) + len(g.raw.indices)

@@ -235,3 +235,24 @@ def test_all_models_monotone_and_bounded(pa_graph_small):
         assert rec.new_per_step.sum() == rec.final_spread
         times = rec.activation_time[rec.activation_time >= 0]
         assert times.max() <= rec.converged_at
+
+
+@pytest.mark.parametrize("bad", [-1, np.int64(-3), 2.7, True, "5", float("nan"), None],
+                         ids=repr)
+def test_baseline_rng_seed_checked(pa_graph_small, bad):
+    # a fractional or boolean seed was truncated and run, and a negative or
+    # NaN one ended in numpy's ValueError
+    g = pa_graph_small
+    with pytest.raises(InvalidParameter, match="rng_seed"):
+        run_ic(g, [0], 0.3, bad)
+    with pytest.raises(InvalidParameter, match="rng_seed"):
+        run_lt(g, [0], BaselineConfig(model=LT), bad)
+
+
+def test_baseline_rng_seed_accepts_numpy_integers(pa_graph_small):
+    g = pa_graph_small
+    for seed in (np.int64(11), np.uint64(11)):
+        ic, lt = run_ic(g, [0], 0.3, seed), run_lt(g, [0], BaselineConfig(model=LT), seed)
+        assert ic.to_dict() == run_ic(g, [0], 0.3, 11).to_dict()
+        assert lt.to_dict() == run_lt(g, [0], BaselineConfig(model=LT), 11).to_dict()
+        assert type(ic.rng_seed) is int and type(lt.rng_seed) is int

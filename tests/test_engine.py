@@ -268,3 +268,32 @@ def test_estimate_spread_matches_reference(pa_graph_small):
     ], dtype=np.float64)
     assert est.mean == float(spreads.mean())
     assert est.stderr == float(spreads.std(ddof=1) / np.sqrt(40))
+
+
+BAD_RNG_SEEDS = [-1, np.int64(-3), 2.7, True, np.True_, "5", float("nan"), None, [1]]
+
+
+@pytest.mark.parametrize("bad", BAD_RNG_SEEDS, ids=repr)
+def test_rng_seed_checked_before_any_run(pa_graph_small, monkeypatch, bad):
+    # the seventh run's seed is refused when the iterator is made, before
+    # the first batch of four has run
+    g = pa_graph_small
+    monkeypatch.setattr(updyn, "CHUNK_CELLS", 20 * g.n)  # 4 rows
+    runs = [(self_propagation(g, v), [v], derive_seed(1, v)) for v in range(10)]
+    runs[6] = (runs[6][0], runs[6][1], bad)
+    with pytest.raises(updyn.InvalidParameter, match="rng_seed"):
+        iter_cascades(g, runs, SimParams(gamma=0.15))
+    with pytest.raises(updyn.InvalidParameter, match="rng_seed"):
+        updyn.check_rng_seed(bad)
+
+
+@pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint64(2 ** 64 - 1), 2 ** 64 - 1,
+                                  2 ** 70])
+def test_rng_seed_accepts_non_negative_integers(pa_graph_small, seed):
+    g = pa_graph_small
+    c = self_propagation(g, 3)
+    params = SimParams(gamma=0.15, max_steps=40)
+    (rec,) = run_cascades(g, [(c, [3], seed)], params)
+    assert type(rec.rng_seed) is int and rec.rng_seed == int(seed)
+    assert rec.to_dict() == run_cascade(g, c, [3], params, int(seed)).to_dict()
+    _assert_matches_reference(g, [(c, [3], int(seed))], params, [rec])
