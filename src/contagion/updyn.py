@@ -367,23 +367,27 @@ def _fresh_rows(g: WeightedGraph, affinity_hat: np.ndarray, own_live: bool) -> C
 
 def _eligible(rows: CascadeState, p: SimParams):
     """Cells that draw this step, as flat indices in row-major order (so each
-    run's nodes ascend), and the list of their counts per row."""
+    run's nodes ascend), and their counts per row: a list for one row, else
+    an array read off the ascending indices at the row boundaries."""
     mask = ~rows.active
     if p.require_contact:
         mask &= rows.active_nbr_count > 0
     eligible = mask.nonzero()[0]
-    if len(rows.active_count) == 1:
+    R = len(rows.active_count)
+    if R == 1:
         return eligible, [len(eligible)]
-    return eligible, np.add.reduce(mask.reshape(-1, rows.n), axis=1).tolist()
+    bounds = eligible.searchsorted(np.arange(0, (R + 1) * rows.n, rows.n))
+    return eligible, bounds[1:] - bounds[:-1]
 
 
-def _draw(rows: CascadeState, p: SimParams, rngs, eligible: np.ndarray, counts: list):
+def _draw(rows: CascadeState, p: SimParams, rngs, eligible: np.ndarray, counts):
     """Bernoulli draws over the eligible cells; a row may have none.
 
     Probabilities come from the pre-step state. Run r draws
     ``rngs[r].random(counts[r])`` for its eligible nodes in ascending order,
     so each run consumes its stream as if stepped alone. Returns the run and
-    node of each cell that fires, and the list of firings per row.
+    node of each cell that fires, and the firings per row (a list for one
+    row, else an array).
     """
     R, n = len(rows.active_count), rows.n
     if R == 1:
@@ -395,7 +399,7 @@ def _draw(rows: CascadeState, p: SimParams, rngs, eligible: np.ndarray, counts: 
         run = np.arange(R).repeat(counts)
         node = eligible - run * n
         glob = (p.global_weight * (rows.active_count / n)).repeat(counts)
-        draws = np.concatenate([rng.random(k) for rng, k in zip(rngs, counts)])
+        draws = np.concatenate([rng.random(k) for rng, k in zip(rngs, counts.tolist())])
     degree = rows.live_degree[eligible if rows.owns_live else node]
     li = np.divide(rows.active_wsum[eligible], degree, out=np.zeros(len(eligible)),
                    where=degree > TIE_EPS)
@@ -409,7 +413,7 @@ def _draw(rows: CascadeState, p: SimParams, rngs, eligible: np.ndarray, counts: 
         fired = node[hits]
         return None, fired, [len(fired)]
     run = run[hits]
-    return run, node[hits], np.bincount(run, minlength=R).tolist()
+    return run, node[hits], np.bincount(run, minlength=R)
 
 
 def _activate_rows(rows: CascadeState, g: WeightedGraph, run, node, t: int) -> None:
@@ -445,8 +449,8 @@ def _advance(rows: CascadeState, g: WeightedGraph, p: SimParams, rngs, vecs: np.
 
     Row r draws from ``rngs[r]``, its fired cells are activated and, under
     drift, its new nodes drift toward the unit vector ``vecs[r]`` (``vecs``
-    is unused without drift). Returns the number of draws made and the
-    list of new adopters per row.
+    is unused without drift). Returns the number of draws made and the new
+    adopters per row (a list for one row, else an array).
     """
     eligible, counts = _eligible(rows, p)
     run, node, new = _draw(rows, p, rngs, eligible, counts)
@@ -647,10 +651,35 @@ def _batches(g: WeightedGraph, runs, p: SimParams, size: int, tally: RunTally | 
         del records
 
 
+def _generators(runs) -> list:
+    """One generator per run, each ``PCG64`` on its seed's ``SeedSequence``:
+    the stream ``default_rng(seed)`` gives. Runs that share a seed share
+    the ``SeedSequence`` (its state words are a pure function of the seed),
+    never a generator."""
+    seqs = {}
+    rngs = []
+    for _, _, rng_seed in runs:
+        seq = seqs.get(rng_seed)
+        if seq is None:
+            seq = seqs[rng_seed] = np.random.SeedSequence(rng_seed)
+        rngs.append(np.random.Generator(np.random.PCG64(seq)))
+    return rngs
+
+
 def _run_chunk(g: WeightedGraph, runs, p: SimParams):
     """Step checked runs together until each converges or hits the cap.
 
     Returns their records in input order and the number of draws made.
+
+    A lone run keeps its waves in a list and its cooling count in an int.
+    A batch keeps them in arrays, compacted with the state's rows: each
+    row's input position (``live``), the last step at which it gained
+    adopters (``last``; its cooling count is ``t - last``) and its row of a
+    waves matrix (``slot``). The matrix starts with one row per run and 32
+    columns; when a step reaches its width, the live rows' waves move to a
+    matrix twice as wide, so a few long runs do not widen the rows of runs
+    already recorded. Rows are checked for their end only from the step the
+    earliest of them could end, or at the cap.
     """
     n, R = g.n, len(runs)
     vecs = np.array([prop.vec for prop, _, _ in runs])
@@ -658,52 +687,67 @@ def _run_chunk(g: WeightedGraph, runs, p: SimParams):
     sizes = [len(seeds) for _, seeds, _ in runs]
     _activate_rows(rows, g, np.arange(R).repeat(sizes),
                    np.concatenate([seeds for _, seeds, _ in runs]), 0)
-    rngs = [np.random.default_rng(rng_seed) for _, _, rng_seed in runs]
-    live = list(range(R))  # input position of each row
-    stable = [0] * R
-    waves = [[k] for k in sizes]
+    rngs = _generators(runs)
     max_steps = p.resolve_max_steps(n)
     records = [None] * R
     draws = t = 0
 
-    def retire(done):
-        """Record the rows flagged in ``done``, ended at step ``t``; drop them."""
-        nonlocal rows, live, stable, rngs, vecs
-        for r in (r for r, d in enumerate(done) if d):
-            i = live[r]
-            prop, seeds, rng_seed = runs[i]
-            records[i] = CascadeRecord(
-                params=p,
-                seed_set=tuple(seeds.tolist()),
-                propagation=prop,
-                rng_seed=rng_seed,
-                activation_time=rows.row("activation_time", r).copy(),
-                new_per_step=np.array(waves[i], dtype=np.int64),
-                final_spread=int(rows.active_count[r]),
-                converged_at=t,
-                hit_cap=stable[r] < p.epsilon,
-                model="up",
-            )
-        keep = [not d for d in done]
-        if any(keep):
-            live, stable, rngs = ([x for x, k in zip(xs, keep) if k]
-                                  for xs in (live, stable, rngs))
-            keep = np.array(keep)
-            vecs = vecs[keep]
-            rows = rows.take(keep)
-        else:
-            live = []
+    def record(i, r, waves, hit_cap):
+        """Record run i, held in row r, ended at step ``t``."""
+        prop, seeds, rng_seed = runs[i]
+        records[i] = CascadeRecord(
+            params=p,
+            seed_set=tuple(seeds.tolist()),
+            propagation=prop,
+            rng_seed=rng_seed,
+            activation_time=rows.row("activation_time", r).copy(),
+            new_per_step=waves,
+            final_spread=int(rows.active_count[r]),
+            converged_at=t,
+            hit_cap=hit_cap,
+            model="up",
+        )
 
-    while live:
+    if R == 1:
+        waves, stable = sizes, 0
+        while stable < p.epsilon and t < max_steps:
+            t += 1
+            made, (k,) = _advance(rows, g, p, rngs, vecs, t)
+            draws += made
+            waves.append(k)
+            stable = 0 if k else stable + 1
+        record(0, 0, np.array(waves, dtype=np.int64), stable < p.epsilon)
+        return records, draws
+
+    live = slot = np.arange(R)
+    last = np.zeros(R, dtype=np.int64)
+    waves = np.empty((R, 32), dtype=np.int64)
+    waves[:, 0] = sizes
+    wake = p.epsilon  # the earliest step at which a row can end
+    while True:
         t += 1
         made, new = _advance(rows, g, p, rngs, vecs, t)
         draws += made
-        for r, k in enumerate(new):
-            waves[live[r]].append(k)
-            stable[r] = 0 if k else stable[r] + 1
-        if t >= max_steps or max(stable) >= p.epsilon:
-            retire([t >= max_steps or s >= p.epsilon for s in stable])
-    return records, draws
+        if t == waves.shape[1]:
+            wider = np.empty((len(slot), 2 * t), dtype=np.int64)
+            wider[:, :t] = waves[slot]
+            waves, slot = wider, np.arange(len(slot))
+        waves[slot, t] = new
+        last[np.asarray(new) > 0] = t
+        if t < wake and t < max_steps:
+            continue
+        done = (t - last >= p.epsilon) | (t >= max_steps)
+        if done.any():
+            for r in done.nonzero()[0].tolist():
+                record(int(live[r]), r, waves[slot[r], :t + 1].copy(),
+                       bool(t - last[r] < p.epsilon))
+            if done.all():
+                return records, draws
+            keep = ~done
+            live, slot, last, vecs = live[keep], slot[keep], last[keep], vecs[keep]
+            rngs = [rng for rng, k in zip(rngs, keep.tolist()) if k]
+            rows = rows.take(keep)
+        wake = int(last.min()) + p.epsilon
 
 
 def step_probs_matrix(state: CascadeState, c, g: WeightedGraph, p: SimParams) -> np.ndarray:

@@ -297,3 +297,92 @@ def test_rng_seed_accepts_non_negative_integers(pa_graph_small, seed):
     assert type(rec.rng_seed) is int and rec.rng_seed == int(seed)
     assert rec.to_dict() == run_cascade(g, c, [3], params, int(seed)).to_dict()
     _assert_matches_reference(g, [(c, [3], int(seed))], params, [rec])
+
+
+def test_batch_outlives_two_doublings_of_its_waves(pa_graph_small):
+    # a cooling period of 140 steps keeps every row past step 128, four
+    # times the waves matrix's starting width of 32 columns
+    g = pa_graph_small
+    params = SimParams(gamma=0.02, epsilon=140)
+    runs = _mixed_runs(g, 5, seed=21)
+    tally = RunTally()
+    records = run_cascades(g, runs, params, tally)
+    assert min(r.converged_at for r in records) > 128
+    assert len({r.converged_at for r in records}) > 1
+    _assert_matches_reference(g, runs, params, records, tally)
+
+
+def test_every_row_ends_on_the_same_step(pa_graph_small):
+    g = pa_graph_small
+    # nobody fires at gamma 0, so every row cools at step epsilon
+    runs = _mixed_runs(g, 6, seed=2)
+    params = SimParams(gamma=0.0, epsilon=4)
+    records = run_cascades(g, runs, params)
+    assert {r.converged_at for r in records} == {4}
+    _assert_matches_reference(g, runs, params, records)
+    # identical runs from the hub follow one trajectory and end together
+    c = self_propagation(g, 0)
+    runs = [(c, [0], 8)] * 5
+    params = SimParams(gamma=0.15, epsilon=3)
+    records = run_cascades(g, runs, params)
+    assert len({r.converged_at for r in records}) == 1 and records[0].converged_at > 3
+    _assert_matches_reference(g, runs, params, records)
+
+
+def test_cap_and_end_of_cooling_on_the_same_step(pa_graph_small):
+    # the cap is set to the step at which the shortest viral run cools
+    # anyway, so that run ends by cooling, not by the cap, while the longer
+    # runs beside it are capped
+    g = pa_graph_small
+    runs = _mixed_runs(g, 8, seed=17)
+    free = run_cascades(g, runs, SimParams(gamma=0.6, epsilon=2))
+    cap = min(r.converged_at for r in free if r.converged_at > 10)
+    assert max(r.converged_at for r in free) > cap
+    params = SimParams(gamma=0.6, epsilon=2, max_steps=cap)
+    records = run_cascades(g, runs, params)
+    for a, b in zip(free, records):
+        assert b.converged_at == min(a.converged_at, cap)
+        assert b.hit_cap == (a.converged_at > cap)
+    assert any(r.hit_cap for r in records)
+    assert any(r.converged_at == cap and not r.hit_cap for r in records)
+    _assert_matches_reference(g, runs, params, records)
+
+
+def test_batch_compacts_to_one_row_and_keeps_running(pa_graph_small, monkeypatch):
+    # run 0 has every node active and ends after its cooling period; the
+    # other row then runs on alone for many steps
+    g = pa_graph_small
+    params = SimParams(gamma=0.1, epsilon=3)
+    c = self_propagation(g, 0)
+    runs = [(c, list(range(g.n)), 1), (c, [0], 4)]
+    widths = []
+    advance = updyn._advance
+
+    def counted(rows, *args):
+        widths.append(len(rows.active_count))
+        return advance(rows, *args)
+
+    monkeypatch.setattr(updyn, "_advance", counted)
+    records = run_cascades(g, runs, params)
+    assert records[0].converged_at == 3 and records[1].converged_at > 10
+    assert widths[:3] == [2, 2, 2] and set(widths[3:]) == {1}
+    _assert_matches_reference(g, runs, params, records)
+
+
+def test_runs_sharing_a_seed_draw_their_own_streams(pa_graph_small):
+    # each run draws the stream default_rng(seed) gives when it runs alone:
+    # the runs share the seed's SeedSequence, never a generator
+    g = pa_graph_small
+    rng = np.random.default_rng(3)
+    props = [Propagation.from_vector(rng.standard_normal(g.features.k)) for _ in range(4)]
+    runs = [(c, [v], 99) for c, v in zip(props, (0, 5, 57, 199))]
+    params = SimParams(gamma=0.2, epsilon=3)
+    records = run_cascades(g, runs, params)
+    for (c, seeds, rng_seed), rec in zip(runs, records):
+        assert rec.to_dict() == run_cascade(g, c, seeds, params, rng_seed).to_dict()
+    _assert_matches_reference(g, runs, params, records)
+    gens = updyn._generators(runs)
+    assert len({id(gen) for gen in gens}) == len(runs)
+    solo = np.random.default_rng(99).random(6)
+    for gen in gens:
+        assert np.array_equal(gen.random(6), solo)
