@@ -709,7 +709,7 @@ def _run_chunk(g: WeightedGraph, runs, p: SimParams):
         )
 
     if R == 1:
-        waves, stable = sizes, 0
+        waves, stable = [sizes[0]], 0
         while stable < p.epsilon and t < max_steps:
             t += 1
             made, (k,) = _advance(rows, g, p, rngs, vecs, t)
