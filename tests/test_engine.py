@@ -86,7 +86,7 @@ def test_batched_scatter_matches_one_run_per_row(pa_graph_small):
     props = [self_propagation(g, int(row[0])) for row in nodes]
     rows = updyn._fresh_rows(g, updyn._affinities(g, props), own_live=False)
     run = np.repeat(np.arange(3), [len(row) for row in nodes])
-    updyn._activate_rows(rows, g, run, np.concatenate(nodes), 0)
+    updyn._activate_rows(rows, g, run, np.concatenate(nodes), 0, [len(row) for row in nodes])
     for r, (prop, row) in enumerate(zip(props, nodes)):
         state = updyn.init_state(g, prop, row, SimParams())
         assert np.array_equal(rows.row("active_wsum", r), state.active_wsum)
