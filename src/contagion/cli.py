@@ -1,8 +1,9 @@
 """Unified command-line entry point.
 
 Subcommands: netgen, simulate, baseline, analyze, experiment, learn,
-learn-eval, optimize, plot. A ``--config file.json`` supplies defaults that
-explicit flags override. Every command records a run manifest (every key it
+learn-eval, optimize, plot. Each command's keys are declared once, in
+``COMMANDS``. A ``--config file.json`` supplies defaults that explicit
+flags override. Every command records a run manifest (every key it
 resolved, input digests, outputs, timing) in its output directory.
 """
 
@@ -18,6 +19,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import fields
 from functools import partial, wraps
 from pathlib import Path
 from typing import NamedTuple
@@ -184,22 +186,6 @@ def _load_config_file(path) -> dict:
     return doc
 
 
-def _merged(args, config: dict, key: str, default, kind=None):
-    """Explicit flag wins, then config file, then the default.
-
-    A config value of null raises InvalidParameter unless the default is
-    None too. With ``kind`` (int, float or boolean) a value other than None
-    is cast to it, and one that does not cast raises InvalidParameter naming
-    ``key``; an int key also refuses a boolean and a fractional number.
-    """
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is None:
-        val = config.get(key, default)
-    if val is None and default is not None:
-        raise InvalidParameter(key, "must not be null")
-    return _typed(key, val, kind)
-
-
 def boolean(val) -> bool:
     """Strict flag value: a JSON boolean, 0 or 1, or one of the strings
     true, false, 0, 1 (any case)."""
@@ -212,22 +198,6 @@ def boolean(val) -> bool:
     raise ValueError(f"not a boolean: {val!r}")
 
 
-def _typed(key: str, val, kind):
-    if kind is None or val is None:
-        return val
-    # int() would truncate 2.5 to 2 and read true as 1
-    if kind is int and (isinstance(val, bool) or isinstance(val, float) and not val.is_integer()):
-        raise InvalidParameter(key, f"expected int, got {val!r}")
-    try:
-        typed = kind(val)
-    except (TypeError, ValueError):
-        raise InvalidParameter(key, f"expected {kind.__name__}, got {val!r}") from None
-    # NaN and infinities pass float() and no JSON output can hold them
-    if kind is float and not math.isfinite(typed):
-        raise InvalidParameter(key, f"expected a finite number, got {val!r}")
-    return typed
-
-
 def _parse_seeds(text) -> list:
     try:
         return [int(tok) for tok in str(text).split(",") if tok != ""]
@@ -235,32 +205,218 @@ def _parse_seeds(text) -> list:
         raise InvalidParameter("seeds", f"could not parse seed list {text!r}")
 
 
-class Options:
-    """One command's settings and the files it reads.
+# ---------------------------------------------------------------------------
+# the key table
 
-    ``get`` resolves a key as its flag, else the ``--config`` value, else the
-    default, and keeps the result for the manifest; ``path`` does the same
-    for an input file and records it among the inputs.
+REQUIRED = object()  # the default of a key that a flag or the config must give
+MAX_COUNT = 10**6  # the most runs, sims, rounds, steps or bins a command takes
+
+
+class Key(NamedTuple):
+    """One CLI key: the flag ``--name`` and the ``--config`` entry ``name``.
+
+    ``kind`` is int, float, boolean, path, text (a string or an integer) or
+    choice. ``bound`` is an inclusive ``(lo, hi)`` for a number, with None
+    for an open end; the choices of a choice; ``"r"`` for a path the
+    command reads (recorded among the manifest's inputs) and ``"w"`` for
+    one it writes.
+    """
+
+    name: str
+    kind: str
+    default: object = None
+    bound: object = None
+    help: str = ""
+
+    def resolve(self, flag, file: dict):
+        """The flag, else the config value, else the default, checked.
+
+        A null config value counts only where the default is None;
+        ``jobs`` falls back on ``CONTAGION_JOBS`` before its default.
+        """
+        val = file.get(self.name, self.default) if flag is None else flag
+        if val is None and self.name == "jobs":
+            val = os.environ.get("CONTAGION_JOBS", 1)
+        if val is REQUIRED or val is None and self.default is REQUIRED:
+            raise InvalidParameter(self.name, f"--{self.name} is required")
+        if val is None and self.default is not None:
+            raise InvalidParameter(self.name, "must not be null")
+        return None if val is None else self.check(val)
+
+    def check(self, val):
+        """``val`` as this key takes it; InvalidParameter naming the key if
+        it has the wrong kind or lies outside the bound."""
+        kind, bound = self.kind, self.bound
+        if kind == "boolean":
+            try:
+                return boolean(val)
+            except ValueError:
+                raise InvalidParameter(self.name, f"expected boolean, got {val!r}") from None
+        # open() reads an integer as a file descriptor
+        if kind == "path" and not (isinstance(val, str) and val):
+            raise InvalidParameter(self.name, f"expected a file name, got {val!r}")
+        if kind == "text" and (isinstance(val, bool) or not isinstance(val, (str, int))):
+            raise InvalidParameter(self.name, f"expected a string, got {val!r}")
+        if kind == "choice" and (isinstance(val, bool) or val not in bound):
+            raise InvalidParameter(self.name, f"expected one of {', '.join(map(str, bound))}, "
+                                              f"got {val!r}")
+        if kind not in ("int", "float"):
+            return val
+        # int() would truncate 2.5 to 2, and int() and float() read true as 1
+        if isinstance(val, bool) or kind == "int" and isinstance(val, float) and not val.is_integer():
+            raise InvalidParameter(self.name, f"expected {kind}, got {val!r}")
+        try:
+            num = int(val) if kind == "int" else float(val)
+        except (TypeError, ValueError):
+            raise InvalidParameter(self.name, f"expected {kind}, got {val!r}") from None
+        # NaN and infinities pass float() and no JSON output can hold them
+        if not math.isfinite(num):
+            raise InvalidParameter(self.name, f"expected a finite number, got {val!r}")
+        lo, hi = bound or (None, None)
+        if lo is not None and num < lo:
+            raise InvalidParameter(self.name, f"must be >= {lo}, got {num}")
+        if hi is not None and num > hi:
+            raise InvalidParameter(self.name, f"must be <= {hi}, got {num}")
+        return num
+
+    def flag(self) -> dict:
+        """``add_argument`` keywords: the flag's type, and its help with the
+        default and the bound of a number."""
+        notes = [] if self.default is None else [
+            "required" if self.default is REQUIRED else f"default: {self.default}"]
+        if self.kind in ("int", "float") and self.bound:
+            lo, hi = self.bound
+            notes += [f"{word} {end}" for word, end in (("at least", lo), ("at most", hi))
+                      if end is not None]
+        shown = f"{self.help} ({'; '.join(notes)})" if notes else self.help
+        shown = shown.strip().replace("%", "%%")
+        if self.kind == "boolean":
+            return {"action": "store_const", "const": True, "help": shown}
+        if self.kind == "choice":
+            return {"choices": self.bound, "type": type(self.bound[0]), "help": shown}
+        return {"type": {"int": int, "float": float}.get(self.kind, str), "help": shown}
+
+
+SEED = Key("seed", "int", 0, (0, None), "master seed")
+SIM_KEYS = (  # the SimParams fields, read by _sim_params_from
+    Key("alpha", "float", 1.0 / 3.0, None, "weight of the vector-affinity score"),
+    Key("beta", "float", 1.0 / 3.0, None, "weight of the local-influence score"),
+    Key("gamma", "float", 0.05, None, "activation scale"),
+    Key("epsilon", "int", 10, None, "cooling period: steps without change that end a run"),
+    Key("lambda", "float", 0.0, None, "feature drift rate"),
+    Key("max-steps", "int", None, None, "step cap (unset: 10 n)"),
+    Key("viral-fraction", "float", 0.5, None, "spread, as a share of n, that makes a run viral"),
+    Key("spontaneous", "boolean", False, None,
+        "let every inactive node draw each step (no contact gate)"),
+)
+LEARNER_KEYS = (  # read by _learner_inputs
+    Key("trust", "path", REQUIRED, "r", "TSV truster<TAB>trustee"),
+    Key("ratings", "path", REQUIRED, "r", "TSV user<TAB>product<TAB>timestamp"),
+    Key("graph", "path", None, "r", "optional host graph (integer node ids)"),
+)
+
+EXPERIMENT_CONFIG_HELP = ("JSON ExperimentConfig with the keys "
+                          + ", ".join(f.name for f in fields(ExperimentConfig)))
+
+# command -> (summary, keys in the order they resolve and enter the manifest)
+COMMANDS = {
+    "netgen": ("generate a weighted PA network", (
+        Key("nodes", "int", 1000, None, "network size"),
+        Key("attach", "int", 2, None, "edges each new node attaches"),
+        Key("embed-dim", "int", 10, None, "spectral feature dimension"),
+        SEED._replace(bound=None),  # generate_pa checks it
+        Key("out", "path", "graph.json", "w"),
+    )),
+    "simulate": ("run propagation cascades", (
+        Key("graph", "path", REQUIRED, "r", "graph JSON"),
+        Key("out", "path", "runs.jsonl", "w"),
+        Key("seeds", "text", "0", None, "comma-separated seed node ids"),
+        Key("prop", "text", "self", None, "self | affinity:<c> | path to vector JSON"),
+        Key("runs", "int", 1, (1, MAX_COUNT), "cascades to run"),
+        SEED,
+        *SIM_KEYS,
+        Key("jobs", "int", None, (1, None), "worker processes (unset: CONTAGION_JOBS, else 1)"),
+    )),
+    "baseline": ("run IC / LT / k-complex baselines", (
+        Key("graph", "path", REQUIRED, "r", "graph JSON"),
+        Key("model", "choice", REQUIRED, ("ic", "lt", "kcomplex")),
+        Key("out", "path", "runs.jsonl", "w"),
+        Key("seeds", "text", "0", None, "comma-separated seed node ids"),
+        Key("runs", "int", 1, (1, MAX_COUNT), "cascades to run"),
+        SEED,
+        Key("p", "float", None, None, "IC activation probability (unset: 0.1)"),
+        Key("theta", "float", None, None, "LT constant threshold (omit for uniform)"),
+        Key("k", "int", None, None, "k-complex reinforcement count (unset: 2)"),
+    )),
+    "analyze": ("summarize a batch of cascade records", (
+        Key("runs", "path", REQUIRED, "r", "runs JSONL"),
+        Key("graph", "path", REQUIRED, "r", "graph JSON the runs were simulated on"),
+        Key("report", "path", "report.json", "w"),
+    )),
+    "experiment": ("run an RQ experiment from a config", (
+        Key("rq", "choice", REQUIRED, (1, 2, 3, 4, 5), "research question"),
+        Key("axis", "choice", None, ("alpha", "beta", "global"), "sweep axis for rq4"),
+        Key("out-dir", "path", REQUIRED, "w", "directory for the tables and plots"),
+    )),
+    "learn": ("fit the threshold model on cascade traces", (
+        *LEARNER_KEYS,
+        Key("form", "choice", "sum", ("sum", "mean"), "aggregation"),
+        Key("steps", "int", 200, (None, MAX_COUNT), "gradient steps"),
+        Key("lr", "float", 0.01, None, "learning rate"),
+        SEED,
+        Key("augment", "boolean", False, None, "add prefix subcascades to the training set"),
+        Key("out", "path", "model.json", "w"),
+    )),
+    "learn-eval": ("evaluate a fitted model", (
+        Key("model", "path", REQUIRED, "r", "model JSON from learn"),
+        *LEARNER_KEYS,
+        Key("test-fraction", "float", 0.2, None, "share of the traces held out"),
+        SEED._replace(name="split-seed", help="seed of the train/test split"),
+        Key("out", "path", "eval.json", "w"),
+    )),
+    "optimize": ("search for a spread-maximizing vector", (
+        Key("graph", "path", REQUIRED, "r", "graph JSON"),
+        Key("seed-node", "int", 0, None, "node the cascades start from"),
+        Key("khop", "int", 2, None, "hops of the candidate neighbourhood"),
+        Key("beam", "int", 5, None, "beam width"),
+        Key("rounds", "int", 5, (None, MAX_COUNT), "beam rounds"),
+        Key("perturb", "float", 0.1, None, "perturbation scale"),
+        Key("sims", "int", 200, (None, MAX_COUNT), "cascades per spread estimate"),
+        Key("top-deg", "int", 10, None, "hubs in the candidate pool"),
+        Key("core-targets", "int", None, None, "nearest core nodes the pool reaches (unset: all)"),
+        SEED,
+        Key("out", "path", "best.json", "w"),
+        *SIM_KEYS,
+    )),
+    "plot": ("render a CSV table to SVG", (
+        Key("table", "path", REQUIRED, "r", "CSV table"),
+        Key("kind", "choice", "line", ("line", "hist")),
+        Key("out", "path", "plot.svg", "w"),
+        Key("bins", "int", 10, (1, MAX_COUNT), "histogram bins"),
+    )),
+}
+
+
+class Options:
+    """One command's resolved keys and the files it reads.
+
+    Every key of the command's table resolves in table order (``Key.resolve``);
+    ``opts[name]`` is its value, ``config`` keeps every value for the
+    manifest and ``inputs`` the config file and every path the command reads.
     """
 
     def __init__(self, args):
-        self.args = args
         self.file = _load_config_file(args.config)
-        self.config = {}
         self.inputs = [] if args.config is None else [args.config]
+        self.config = {}
+        for key in COMMANDS[args.command][1]:
+            flag = getattr(args, key.name.replace("-", "_"))
+            self.config[key.name] = val = key.resolve(flag, self.file)
+            if key.bound == "r" and val is not None:
+                self.inputs.append(val)
 
-    def get(self, key: str, default=None, kind=None):
-        self.config[key] = val = _merged(self.args, self.file, key, default, kind)
-        return val
-
-    def path(self, key: str, required: bool = True):
-        path = self.get(key)
-        if path is None:
-            if required:
-                raise InvalidParameter(key, f"--{key} is required")
-            return None
-        self.inputs.append(path)
-        return path
+    def __getitem__(self, name: str):
+        return self.config[name]
 
 
 class Done(NamedTuple):
@@ -325,44 +481,20 @@ def _sim_params_from(opts) -> SimParams:
     """SimParams from the command's keys; a refused value is reported under
     its flag's name (``max-steps``, not the field ``max_steps``)."""
     kwargs = dict(
-        alpha=opts.get("alpha", 1.0 / 3.0, float),
-        beta=opts.get("beta", 1.0 / 3.0, float),
-        gamma=opts.get("gamma", 0.05, float),
-        epsilon=opts.get("epsilon", 10, int),
-        drift=opts.get("lambda", 0.0, float),
-        max_steps=opts.get("max-steps", None, int),
-        viral_fraction=opts.get("viral-fraction", 0.5, float),
-        require_contact=not opts.get("spontaneous", False, boolean),
+        alpha=opts["alpha"],
+        beta=opts["beta"],
+        gamma=opts["gamma"],
+        epsilon=opts["epsilon"],
+        drift=opts["lambda"],
+        max_steps=opts["max-steps"],
+        viral_fraction=opts["viral-fraction"],
+        require_contact=not opts["spontaneous"],
     )
     try:
         return SimParams(**kwargs)
     except InvalidParameter as err:
         key = err.field.replace("_", "-")
         raise InvalidParameter(key, str(err).removeprefix(f"{err.field}: ")) from None
-
-
-def _jobs_from(opts) -> int:
-    val = opts.get("jobs", None, int)
-    if val is None:
-        val = _typed("jobs", os.environ.get("CONTAGION_JOBS", 1), int)
-    if val < 1:
-        raise InvalidParameter("jobs", f"need at least 1 worker, got {val}")
-    opts.config["jobs"] = val
-    return val
-
-
-def _seed(opts, key: str = "seed") -> int:
-    seed = opts.get(key, 0, int)
-    if seed < 0:
-        raise InvalidParameter(key, f"must be >= 0, got {seed}")
-    return seed
-
-
-def _run_count(opts) -> int:
-    n_runs = opts.get("runs", 1, int)
-    if n_runs < 1:
-        raise InvalidParameter("runs", f"need at least 1 run, got {n_runs}")
-    return n_runs
 
 
 def _read_prop_vector(path) -> np.ndarray:
@@ -440,12 +572,8 @@ def _record_dicts(g, runs, params):
 
 @command
 def cmd_netgen(opts) -> Done:
-    n = opts.get("nodes", 1000, int)
-    r = opts.get("attach", 2, int)
-    k = opts.get("embed-dim", 10, int)
-    seed = opts.get("seed", 0, int)
-    out = opts.get("out", "graph.json")
-    g = build_graph(n, r, k, seed)
+    n, k, out = opts["nodes"], opts["embed-dim"], opts["out"]
+    g = build_graph(n, opts["attach"], k, opts["seed"])
     feats = g.features
     return Done({out: partial(save_graph, g)}, f"wrote {out}: n={n} edges={len(g.raw.edges)} k={k}",
                 metrics={"solver": feats.solver, "max_residual": feats.max_residual,
@@ -455,16 +583,12 @@ def cmd_netgen(opts) -> Done:
 
 @command
 def cmd_simulate(opts) -> Done:
-    graph_path = opts.path("graph")
-    out = opts.get("out", "runs.jsonl")
-    seeds = _parse_seeds(opts.get("seeds", "0"))
-    prop_mode = str(opts.get("prop", "self"))
-    n_runs = _run_count(opts)
-    master_seed = _seed(opts)
+    out, master_seed = opts["out"], opts["seed"]
+    seeds = _parse_seeds(opts["seeds"])
+    prop_mode = str(opts["prop"])
     params = _sim_params_from(opts)
-    jobs = _jobs_from(opts)
 
-    g = load_graph(graph_path)
+    g = load_graph(opts["graph"])
     seeds = check_seeds(g, seeds)
     cosine = None
     if prop_mode == "self":
@@ -478,13 +602,13 @@ def cmd_simulate(opts) -> Done:
         opts.inputs.append(prop_mode)
         vec = _read_prop_vector(prop_mode)
     runs = []
-    for i in range(n_runs):
+    for i in range(opts["runs"]):
         if cosine is not None:
             rng = np.random.default_rng(derive_seed(master_seed, "dir", i))
             vec = misaligned_vector(g.features.rows[seeds[0]], cosine, rng)
         runs.append((Propagation(vec=vec), seeds, derive_seed(master_seed, "run", i)))
     tally = RunTally()
-    records = pool_map(_record_dicts, g, runs, (params,), jobs, tally)
+    records = pool_map(_record_dicts, g, runs, (params,), opts["jobs"], tally)
     mean = np.mean([r["final_spread"] for r in records])
     return Done({out: records}, f"wrote {out}: {len(records)} runs, mean spread {mean:.1f}",
                 metrics=tally.to_dict())
@@ -492,16 +616,9 @@ def cmd_simulate(opts) -> Done:
 
 @command
 def cmd_baseline(opts) -> Done:
-    graph_path = opts.path("graph")
-    model = str(opts.get("model"))
-    out = opts.get("out", "runs.jsonl")
-    seeds = _parse_seeds(opts.get("seeds", "0"))
-    n_runs = _run_count(opts)
-    master_seed = _seed(opts)
-    p = opts.get("p", None, float)
-    theta = opts.get("theta", None, float)
-    k = opts.get("k", None, int)
-    g = load_graph(graph_path)
+    model, out, p, theta, k = (opts[key] for key in ("model", "out", "p", "theta", "k"))
+    seeds = _parse_seeds(opts["seeds"])
+    g = load_graph(opts["graph"])
 
     if theta is None:
         lt_cfg = BaselineConfig(model="lt", lt_dist="uniform")
@@ -509,10 +626,8 @@ def cmd_baseline(opts) -> Done:
         lt_cfg = BaselineConfig(model="lt", lt_dist="constant", lt_theta=theta)
     run = {"ic": lambda s: run_ic(g, seeds, 0.1 if p is None else p, s),
            "lt": lambda s: run_lt(g, seeds, lt_cfg, s),
-           "kcomplex": lambda s: run_kcomplex(g, seeds, 2 if k is None else k)}.get(model)
-    if run is None:
-        raise InvalidParameter("model", f"unknown baseline model {model!r}")
-    records = [run(derive_seed(master_seed, "run", i)).to_dict() for i in range(n_runs)]
+           "kcomplex": lambda s: run_kcomplex(g, seeds, 2 if k is None else k)}[model]
+    records = [run(derive_seed(opts["seed"], "run", i)).to_dict() for i in range(opts["runs"])]
     return Done({out: records}, f"wrote {out}: {len(records)} {model} runs",
                 metrics={"cascades": len(records),
                          "steps": sum(r["converged_at"] for r in records),
@@ -521,11 +636,9 @@ def cmd_baseline(opts) -> Done:
 
 @command
 def cmd_analyze(opts) -> Done:
-    runs_path = opts.path("runs")
-    graph_path = opts.path("graph")
-    report_path = opts.get("report", "report.json")
-    g = load_graph(graph_path)
-    records = _read_runs(runs_path, g.n)
+    report_path = opts["report"]
+    g = load_graph(opts["graph"])
+    records = _read_runs(opts["runs"], g.n)
     report = runs_report(records, g.raw.degree)
     return Done({report_path: report}, f"wrote {report_path}: {len(records)} runs, "
                                        f"virality {report['virality_frequency']:.3f}")
@@ -579,12 +692,10 @@ def _experiment_outputs(rq: int, result: dict, out_dir: Path) -> dict:
 @command
 def cmd_experiment(opts) -> Done:
     cfg = ExperimentConfig.from_dict(opts.file) if opts.file else ExperimentConfig()
-    opts.config.update(cfg.to_dict())
-    rq = opts.get("rq", None, int)
-    axis = opts.get("axis")
-    out_dir = Path(opts.get("out-dir"))
+    opts.config = {**cfg.to_dict(), **opts.config}
+    rq, out_dir = opts["rq"], Path(opts["out-dir"])
     run = {1: rq1_spread_distribution, 2: rq2_growth_curves, 3: rq3_size_scaling,
-           4: partial(rq4_param_sweep, axis=axis), 5: rq5_affinity_sweep}[rq]
+           4: partial(rq4_param_sweep, axis=opts["axis"]), 5: rq5_affinity_sweep}[rq]
     tally = RunTally()
     outputs = _experiment_outputs(rq, run(cfg, tally=tally), out_dir)
     return Done(outputs, f"wrote {len(outputs)} tables/plots to {out_dir}",
@@ -593,11 +704,9 @@ def cmd_experiment(opts) -> Done:
 
 def _learner_inputs(opts):
     """(host graph, traces, whether node ids are the graph's integers)."""
-    trust_path = opts.path("trust")
-    ratings_path = opts.path("ratings")
-    graph_path = opts.path("graph", required=False)
-    trust = load_trust_tsv(trust_path)
-    ratings = load_ratings_tsv(ratings_path)
+    graph_path = opts["graph"]
+    trust = load_trust_tsv(opts["trust"])
+    ratings = load_ratings_tsv(opts["ratings"])
     if graph_path is not None:
         try:
             trust = [(int(a), int(b)) for a, b in trust]
@@ -616,51 +725,32 @@ def _learner_inputs(opts):
 @command
 def cmd_learn(opts) -> Done:
     host, traces, _ = _learner_inputs(opts)
-    form = str(opts.get("form", "sum"))
-    steps = opts.get("steps", 200, int)
-    lr = opts.get("lr", 0.01, float)
-    master_seed = _seed(opts)
-    augment = opts.get("augment", False, boolean)
-    out = opts.get("out", "model.json")
-
-    params = init_params(host, form, rng_seed=derive_seed(master_seed, "init"))
-    result = fit(traces, host, params, steps=steps, lr=lr, augment=augment)
+    out = opts["out"]
+    params = init_params(host, opts["form"], rng_seed=derive_seed(opts["seed"], "init"))
+    result = fit(traces, host, params, steps=opts["steps"], lr=opts["lr"], augment=opts["augment"])
     return Done({out: partial(save_model, result.params)}, f"wrote {out}: {len(traces)} traces, "
                 f"loss {result.losses[0]:.3f} -> {result.losses[-1]:.3f}")
 
 
 @command
 def cmd_learn_eval(opts) -> Done:
-    model_path = opts.path("model")
     host, traces, int_ids = _learner_inputs(opts)
-    test_fraction = opts.get("test-fraction", 0.2, float)
-    split_seed = _seed(opts, "split-seed")
-    out = opts.get("out", "eval.json")
-
-    params = load_model(model_path, int_ids=int_ids)
-    train, test = split_traces(traces, test_fraction, rng_seed=split_seed)
+    out = opts["out"]
+    params = load_model(opts["model"], int_ids=int_ids)
+    train, test = split_traces(traces, opts["test-fraction"], rng_seed=opts["split-seed"])
     return Done({out: evaluation_report(train, test, host, params)}, f"wrote {out}")
 
 
 @command
 def cmd_optimize(opts) -> Done:
-    graph_path = opts.path("graph")
-    v = opts.get("seed-node", 0, int)
-    khop = opts.get("khop", 2, int)
-    width = opts.get("beam", 5, int)
-    rounds = opts.get("rounds", 5, int)
-    perturb = opts.get("perturb", 0.1, float)
-    sims = opts.get("sims", 200, int)
-    top_deg = opts.get("top-deg", 10, int)
-    core_targets = opts.get("core-targets", None, int)
-    master_seed = _seed(opts)
-    out = opts.get("out", "best.json")
-
-    g = load_graph(graph_path)
+    v, out = opts["seed-node"], opts["out"]
+    g = load_graph(opts["graph"])
     params = _sim_params_from(opts)
-    pool = build_candidate_pool(g, v, khop, top_deg, core_targets=core_targets)
-    cfg = BeamConfig(width=width, rounds=rounds, eps_perturb=perturb, sims=sims)
-    result = beam_search(g, v, pool, cfg, params, master_seed)
+    pool = build_candidate_pool(g, v, opts["khop"], opts["top-deg"],
+                                core_targets=opts["core-targets"])
+    cfg = BeamConfig(width=opts["beam"], rounds=opts["rounds"], eps_perturb=opts["perturb"],
+                     sims=opts["sims"])
+    result = beam_search(g, v, pool, cfg, params, opts["seed"])
 
     doc = {
         "seed_node": v,
@@ -678,26 +768,18 @@ def cmd_optimize(opts) -> Done:
 
 @command
 def cmd_plot(opts) -> Done:
-    table = opts.path("table")
-    kind = str(opts.get("kind", "line"))
-    out = opts.get("out", "plot.svg")
-    bins = opts.get("bins", 10, int)
-    if bins < 1:
-        raise InvalidParameter("bins", f"must be >= 1, got {bins}")
-
+    table, out = opts["table"], opts["out"]
     header, rows = read_csv_table(table)
-    if kind == "line":
+    if opts["kind"] == "line":
         xs = [r[0] for r in rows]
         series = {
             header[j]: [r[j] for r in rows] for j in range(1, len(header))
         }
         svg = render_line_svg(xs, series, title=Path(table).stem, x_label=header[0] if header else "")
-    elif kind == "hist":
-        values = [r[0] for r in rows if r[0] is not None]
-        svg = render_hist_svg(values, bins=bins, title=Path(table).stem,
-                              x_label=header[0] if header else "")
     else:
-        raise InvalidParameter("kind", f"unknown plot kind {kind!r}")
+        values = [r[0] for r in rows if r[0] is not None]
+        svg = render_hist_svg(values, bins=opts["bins"], title=Path(table).stem,
+                              x_label=header[0] if header else "")
     return Done({out: svg}, f"wrote {out}")
 
 
@@ -706,110 +788,20 @@ def cmd_plot(opts) -> Done:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per ``COMMANDS`` entry, one flag per key; each runs
+    the ``cmd_*`` function the module holds when the parser is built."""
     parser = argparse.ArgumentParser(
         prog="contagion",
         description="Vector-propagation contagion simulator and analysis toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, summary):
+    for name, (summary, keys) in COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--config", help="JSON config supplying defaults (flags win)")
-        p.set_defaults(func=func)
-        return p
-
-    def add_sim_flags(p):
-        # the keys _sim_params_from resolves
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--epsilon", type=int)
-        p.add_argument("--lambda", type=float, help="feature drift rate")
-        p.add_argument("--max-steps", type=int)
-        p.add_argument("--viral-fraction", type=float)
-        p.add_argument("--spontaneous", action="store_const", const=True,
-                       help="let every inactive node draw each step (no contact gate)")
-
-    p = add("netgen", cmd_netgen, "generate a weighted PA network")
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--attach", type=int)
-    p.add_argument("--embed-dim", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-
-    p = add("simulate", cmd_simulate, "run propagation cascades")
-    p.add_argument("--graph")
-    add_sim_flags(p)
-    p.add_argument("--seeds", help="comma-separated seed node ids")
-    p.add_argument("--prop", help="self | affinity:<c> | path to vector JSON")
-    p.add_argument("--runs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--out")
-
-    p = add("baseline", cmd_baseline, "run IC / LT / k-complex baselines")
-    p.add_argument("--model", choices=["ic", "lt", "kcomplex"])
-    p.add_argument("--graph")
-    p.add_argument("--p", type=float, help="IC activation probability")
-    p.add_argument("--theta", type=float, help="LT constant threshold (omit for uniform)")
-    p.add_argument("--k", type=int, help="k-complex reinforcement count")
-    p.add_argument("--seeds")
-    p.add_argument("--runs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-
-    p = add("analyze", cmd_analyze, "summarize a batch of cascade records")
-    p.add_argument("--runs")
-    p.add_argument("--graph")
-    p.add_argument("--report")
-
-    p = add("experiment", cmd_experiment, "run an RQ experiment from a config")
-    p.add_argument("--rq", type=int, required=True, choices=[1, 2, 3, 4, 5])
-    p.add_argument("--axis", choices=["alpha", "beta", "global"],
-                   help="sweep axis for rq4")
-    p.add_argument("--out-dir", required=True)
-
-    p = add("learn", cmd_learn, "fit the threshold model on cascade traces")
-    p.add_argument("--graph", help="optional host graph (integer node ids)")
-    p.add_argument("--trust", help="TSV truster<TAB>trustee")
-    p.add_argument("--ratings", help="TSV user<TAB>product<TAB>timestamp")
-    p.add_argument("--form", choices=["sum", "mean"])
-    p.add_argument("--steps", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--augment", action="store_const", const=True,
-                   help="add prefix subcascades to the training set")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-
-    p = add("learn-eval", cmd_learn_eval, "evaluate a fitted model")
-    p.add_argument("--model")
-    p.add_argument("--graph")
-    p.add_argument("--trust")
-    p.add_argument("--ratings")
-    p.add_argument("--test-fraction", type=float)
-    p.add_argument("--split-seed", type=int)
-    p.add_argument("--out")
-
-    p = add("optimize", cmd_optimize, "search for a spread-maximizing vector")
-    p.add_argument("--graph")
-    p.add_argument("--seed-node", type=int)
-    p.add_argument("--khop", type=int)
-    p.add_argument("--beam", type=int)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--perturb", type=float)
-    p.add_argument("--sims", type=int)
-    p.add_argument("--top-deg", type=int)
-    p.add_argument("--core-targets", type=int)
-    add_sim_flags(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-
-    p = add("plot", cmd_plot, "render a CSV table to SVG")
-    p.add_argument("--table")
-    p.add_argument("--kind", choices=["line", "hist"])
-    p.add_argument("--bins", type=int)
-    p.add_argument("--out")
-
+        p.add_argument("--config", help=EXPERIMENT_CONFIG_HELP if name == "experiment"
+                       else "JSON config supplying defaults (flags win)")
+        for key in keys:
+            p.add_argument(f"--{key.name}", **key.flag())
+        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -180,7 +181,9 @@ def pool_map(fn, g: WeightedGraph, items, args=(), jobs: int = 1,
     else:
         bounds = np.linspace(0, len(items), min(len(items), 4 * jobs) + 1).astype(int)
         work = [(fn, items[a:b], args) for a, b in zip(bounds[:-1], bounds[1:])]
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init,
+        # under fork the pool starts all its workers at once
+        workers = min(jobs, len(work), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
                                  initargs=(g,)) as pool:
             parts = list(pool.map(_worker_run, work))
     outputs = []

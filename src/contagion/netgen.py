@@ -433,12 +433,15 @@ def save_graph(g: WeightedGraph, path) -> None:
 def load_graph(path) -> WeightedGraph:
     """Rebuild a WeightedGraph from its JSON document.
 
-    Raises InvalidParameter unless the document holds a simple graph on nodes
-    0..n-1, exactly one weight in [0, 1] per edge, n unit feature rows and,
-    when present, n segment labels.
+    Raises InvalidParameter unless the file is a JSON document holding a
+    simple graph on nodes 0..n-1, exactly one weight in [0, 1] per edge,
+    n unit feature rows and, when present, n segment labels.
     """
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as err:  # not JSON, or not UTF-8 text
+            raise InvalidParameter("graph", f"{path}: {err}") from None
     try:
         n = int(doc["n"])
         edges = np.asarray(doc["edges"], dtype=np.int64).reshape(-1, 2)

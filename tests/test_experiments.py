@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from contagion import experiments
 from contagion.errors import ConfigError
 from contagion.experiments import (
     ExperimentConfig,
@@ -209,3 +210,33 @@ def test_run_batch_parallel_matches_serial(pa_graph_small):
     serial = run_batch(g, tasks, params, jobs=1)
     parallel = run_batch(g, tasks, params, jobs=2)
     assert serial == parallel
+
+
+def test_pool_map_starts_no_more_workers_than_slices_or_cores(pa_graph_small, monkeypatch):
+    # the pool is faked: it records its worker count and runs the slices here
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return [fn(item) for item in work]
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(experiments, "_WORKER", {})
+    g = pa_graph_small
+    params = SimParams(epsilon=3, max_steps=20)
+    tasks = [(v, g.features.rows[v].copy(), 0, 100 + v) for v in range(8)]
+    serial = run_batch(g, tasks, params, jobs=1)
+    for cores, jobs, workers in [(64, 5000, 8), (64, 3, 3), (2, 5000, 2), (None, 5000, 1)]:
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+        assert run_batch(g, tasks, params, jobs=jobs) == serial
+        assert started.pop() == workers

@@ -407,3 +407,13 @@ def test_build_graph_meta():
     g = build_graph(50, 2, 4, seed=7)
     assert g.meta == {"r": 2, "seed": 7}
     assert g.features.k == 4
+
+
+@pytest.mark.parametrize("content", [b'{"n": 3}\n{"n": 4}\n', b"", b"graph", b'{"n": ', b"\xff\xfe"],
+                         ids=["json-lines", "empty", "text", "truncated", "not-utf8"])
+def test_load_graph_reports_a_file_that_is_not_json(tmp_path, content):
+    # a runs file or any other non-JSON file given as the graph
+    path = tmp_path / "g.json"
+    path.write_bytes(content)
+    with pytest.raises(InvalidParameter, match=f"^graph: {path}: "):
+        load_graph(path)
