@@ -516,6 +516,8 @@ def rq5_affinity_sweep(cfg: ExperimentConfig, g: WeightedGraph | None = None, *,
 
     For every (node, run) the orthogonal direction and the cascade seed are
     drawn once and shared across the cosine grid, pairing the comparisons.
+    The tasks of every cosine run as one batch, so the grid values' long
+    viral runs share lockstep steps; each value's summaries are its slice.
     """
     grid = cfg.sweep_values or tuple(np.linspace(-0.9, 0.9, 9))
     for value in grid:
@@ -524,9 +526,8 @@ def rq5_affinity_sweep(cfg: ExperimentConfig, g: WeightedGraph | None = None, *,
     g = _graph(cfg, g)
     nodes = select_nodes(cfg, g)
 
-    rows = []
+    tasks, max_errs = [], []
     for value in grid:
-        tasks = []
         dot_errs = []
         for node in nodes:
             node = int(node)
@@ -536,12 +537,14 @@ def rq5_affinity_sweep(cfg: ExperimentConfig, g: WeightedGraph | None = None, *,
                 vec = misaligned_vector(x, float(value), dir_rng)
                 dot_errs.append(abs(float(vec @ x) - float(value)))
                 tasks.append((node, vec, i, derive_seed(cfg.master_seed, "rq5", node, i)))
-        summaries = run_batch(g, tasks, cfg.params, cfg.jobs, tally=tally)
-        rows.append({
-            "cosine": float(value),
-            **_virality(summaries),
-            "max_cosine_error": float(np.max(dot_errs)),
-        })
+        max_errs.append(float(np.max(dot_errs)))
+    summaries = run_batch(g, tasks, cfg.params, cfg.jobs, tally=tally)
+    size = len(tasks) // len(grid)
+    rows = [{
+        "cosine": float(value),
+        **_virality(summaries[j * size:(j + 1) * size]),
+        "max_cosine_error": err,
+    } for j, (value, err) in enumerate(zip(grid, max_errs))]
     return {"grid": rows, "summary": [{
         "n_grid": len(rows),
         "frequency_span": rows[-1]["virality_frequency"] - rows[0]["virality_frequency"],

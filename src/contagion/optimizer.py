@@ -317,7 +317,9 @@ def dp_policy(g: WeightedGraph, v: int, cfg: DpConfig, params: SimParams,
         ends = np.append(starts[1:], len(history))
         for t, a, b in zip(steps[: cfg.horizon + 1].tolist(), starts, ends):
             visits.append((r, _majority_segment(g, history[a:b])))
-            probes += [(prop, history[:b], derive_seed(rng_seed, "probe", r, sim, t, rp))
+            # one seed array per state, so iter_cascades checks it once
+            seeds = history[:b]
+            probes += [(prop, seeds, derive_seed(rng_seed, "probe", r, sim, t, rp))
                        for rp, prop in enumerate(props)]
 
     one_step = replace(params, max_steps=1, drift=0.0)

@@ -42,6 +42,10 @@ TIE_EPS = 1e-12
 # per node for each run, plus the run's own degrees, features and edge
 # weights under drift. At n = 1000 that is 419 runs in about 14 MB.
 CHUNK_CELLS = 2 ** 21
+# Relative margin of the thinning cap gamma * (1 + THIN_MARGIN) in ``_draw``:
+# rounding can lift a probability above gamma by at most about 4 d eps for a
+# node of degree d, below 1e-9 for any degree under 10^6.
+THIN_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -385,25 +389,41 @@ def _draw(rows: CascadeState, p: SimParams, rngs, eligible: np.ndarray, counts):
 
     Probabilities come from the pre-step state. Run r draws
     ``rngs[r].random(counts[r])`` for its eligible nodes in ascending order,
-    so each run consumes its stream as if stepped alone. Returns the run and
+    so each run consumes its stream as if stepped alone; a probability is
+    computed only for the draws below the thinning cap. Returns the run and
     node of each cell that fires, and the firings per row (a list for one
     row, else an array).
     """
     R, n = len(rows.active_count), rows.n
     if R == 1:
-        # one row: cells are node ids and the global term is one number
-        run, node = None, eligible
-        glob = p.global_weight * (int(rows.active_count[0]) / n)
         draws = rngs[0].random(len(eligible))
     else:
-        run = np.arange(R).repeat(counts)
-        node = eligible - run * n
-        glob = (p.global_weight * (rows.active_count / n)).repeat(counts)
         draws = np.concatenate([rng.random(k) for rng, k in zip(rngs, counts.tolist())])
-    degree = rows.live_degree[eligible if rows.owns_live else node]
-    li = np.divide(rows.active_wsum[eligible], degree, out=np.zeros(len(eligible)),
+    # Thinning: a draw at or above the cap misses, so only the draws below it
+    # need a probability. Without drift no probability exceeds the cap: the
+    # affinity and the global term lie in [0, 1], the local term is a ratio of
+    # two sums of the same weights, which every WeightedGraph builder keeps in
+    # [0, 1] (at most 1 + 4 d eps at degree d), and the three weights sum to
+    # at most 1 + 1e-12 + 2 eps. Drift moves a row's degrees and active
+    # masses by separate deltas, so a degree just above TIE_EPS can leave the
+    # local term far above 1: those rows are not thinned. A cap of 1 or more
+    # would keep every draw.
+    cap = p.gamma * (1.0 + THIN_MARGIN)
+    cells = eligible
+    if cap < 1.0 and not rows.owns_live:
+        keep = (draws < cap).nonzero()[0]
+        cells, draws = eligible[keep], draws[keep]
+    if R == 1:
+        # one row: cells are node ids and the global term is one number
+        run, node = None, cells
+        glob = p.global_weight * (int(rows.active_count[0]) / n)
+    else:
+        run, node = np.divmod(cells, n)
+        glob = (p.global_weight * (rows.active_count / n))[run]
+    degree = rows.live_degree[cells if rows.owns_live else node]
+    li = np.divide(rows.active_wsum[cells], degree, out=np.zeros(len(cells)),
                    where=degree > TIE_EPS)
-    probs = p.gamma * (p.alpha * rows.affinity_hat[eligible] + p.beta * li + glob)
+    probs = p.gamma * (p.alpha * rows.affinity_hat[cells] + p.beta * li + glob)
     if p.gamma > 1.0:
         # all three scores sit in [0,1] and the weights sum to 1, so the
         # aggregate only leaves [0,1] for gamma above 1

@@ -697,3 +697,33 @@ def learner_traces_from_records(records, g, id_prefix="run"):
         traces.append(CascadeTrace(trace_id=f"{id_prefix}{idx}", members=members,
                                    edges=tuple(sorted(edges, key=_edge_rule(times)))))
     return traces
+
+
+def rq5_grid_per_cosine(cfg, g, tally):
+    """RQ5's grid rows with one ``run_batch`` call per cosine: the sweep as
+    it was before its grid values ran as one batch."""
+    from contagion.experiments import misaligned_vector, run_batch, select_nodes
+    from contagion.rng import derive_seed
+
+    rows = []
+    for value in cfg.sweep_values:
+        tasks, dot_errs = [], []
+        for node in select_nodes(cfg, g):
+            node = int(node)
+            x = g.features.rows[node]
+            for i in range(cfg.runs_per_node):
+                dir_rng = np.random.default_rng(derive_seed(cfg.master_seed, "rq5-dir", node, i))
+                vec = misaligned_vector(x, float(value), dir_rng)
+                dot_errs.append(abs(float(vec @ x) - float(value)))
+                tasks.append((node, vec, i, derive_seed(cfg.master_seed, "rq5", node, i)))
+        summaries = run_batch(g, tasks, cfg.params, 1, tally=tally)
+        ttvs = [s.time_to_virality for s in summaries if s.time_to_virality is not None]
+        rows.append({
+            "cosine": float(value),
+            "n_runs": len(summaries),
+            "n_viral": sum(s.viral for s in summaries),
+            "virality_frequency": float(np.mean([s.viral for s in summaries])),
+            "mean_time_to_virality": float(np.mean(ttvs)) if ttvs else None,
+            "max_cosine_error": float(np.max(dot_errs)),
+        })
+    return rows

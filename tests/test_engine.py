@@ -172,13 +172,17 @@ def test_batch_larger_than_one_chunk(pa_graph_small, monkeypatch, drift):
 
 
 def _stacked(states) -> updyn.CascadeState:
-    """One lockstep state whose row r is ``states[r]``, each owning its live
-    arrays."""
+    """One lockstep state whose row r is ``states[r]``; the rows own their
+    live arrays if the states do, else they share the graph's."""
+    owns = states[0].owns_live
+    per_row = ["active", "activation_time", "active_nbr_count", "active_wsum", "affinity_hat",
+               "active_count"]
+    live = ["live_degree", "live_features", "live_weights"]
     cat = {name: np.concatenate([getattr(s, name) for s in states])
-           for name in ("active", "activation_time", "active_nbr_count", "active_wsum",
-                        "affinity_hat", "active_count", "live_degree", "live_features",
-                        "live_weights")}
-    return updyn.CascadeState(n=states[0].n, **cat, owns_live=True)
+           for name in per_row + (live if owns else [])}
+    if not owns:
+        cat.update({name: getattr(states[0], name) for name in live})
+    return updyn.CascadeState(n=states[0].n, **cat, owns_live=owns)
 
 
 def test_drift_rows_match_node_by_node_oracle(pa_graph_small):
@@ -386,3 +390,20 @@ def test_runs_sharing_a_seed_draw_their_own_streams(pa_graph_small):
     solo = np.random.default_rng(99).random(6)
     for gen in gens:
         assert np.array_equal(gen.random(6), solo)
+
+
+def test_thinning_cap_in_a_batch(path4_uniform):
+    # the batch path thins with the one-row lines: in row 0 node 1's active
+    # mass sits a few ulps above its degree, so its probability passes gamma
+    # by rounding and a draw of exactly gamma fires; row 1's node 2 stays
+    # below gamma and does not
+    g = path4_uniform
+    c = self_propagation(g, 0)
+    params = SimParams(alpha=0.5, beta=0.5, gamma=0.05)
+    rows = _stacked([init_state(g, c, seeds, params) for seeds in ([0], [3])])
+    assert not rows.owns_live
+    degree = g.weighted_degree[1]
+    rows.row("active_wsum", 0)[1] = degree + 4 * np.spacing(degree)
+    made, new = updyn._advance(rows, g, params, [Draws(params.gamma)] * 2, None, 1)
+    assert made == 2 and new.tolist() == [1, 0]
+    assert rows.row("activation_time", 0)[1] == 1 and rows.row("activation_time", 1)[2] == -1

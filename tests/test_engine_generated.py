@@ -50,7 +50,7 @@ def params(draw):
     # short caps end runs early; long caps with a long cooling period keep
     # runs going for dozens of steps
     return SimParams(alpha=alpha, beta=beta,
-                     gamma=draw(st.sampled_from([0.0, 0.05, 0.3, 1.0, 1.7])),
+                     gamma=draw(st.sampled_from([0.0, 0.05, 0.3, 0.999, 1.0, 1.7])),
                      epsilon=draw(st.one_of(st.integers(1, 4), st.integers(20, 45))),
                      drift=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
                      max_steps=draw(st.one_of(st.none(), st.integers(1, 6), st.integers(30, 80))),

@@ -16,7 +16,8 @@ from contagion.experiments import (
     select_nodes,
     sweep_weights,
 )
-from contagion.updyn import Propagation, SimParams, run_cascade
+from contagion.updyn import Propagation, RunTally, SimParams, run_cascade
+from tests.oracles import rq5_grid_per_cosine
 
 
 def small_cfg(**overrides):
@@ -192,6 +193,20 @@ def test_rq5_cosine_one_matches_self_propagation(pa_graph_small):
     vec = misaligned_vector(g.features.rows[node], 1.0, dir_rng)
     rec_sweep = run_cascade(g, Propagation(vec=vec), [node], cfg.params, seed)
     assert np.array_equal(rec_self.activation_time, rec_sweep.activation_time)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_rq5_one_batch_matches_a_batch_per_cosine(pa_graph_small, jobs):
+    # the whole grid runs as one batch; each cosine's row and the tally must
+    # be those of one run_batch call per cosine
+    cfg = small_cfg(sweep_values=(-0.6, 0.0, 0.9), params=SimParams(gamma=0.1, epsilon=5),
+                    node_selection="sample:8", jobs=jobs)
+    tally, expected_tally = RunTally(), RunTally()
+    out = rq5_affinity_sweep(cfg, pa_graph_small, tally=tally)
+    expected = rq5_grid_per_cosine(cfg, pa_graph_small, expected_tally)
+    assert len({row["n_viral"] for row in expected}) == 3
+    assert out["grid"] == expected
+    assert tally == expected_tally
 
 
 def test_rq5_grid_validation(pa_graph_small):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from contagion import optimizer
 from contagion.errors import InvalidParameter
 from contagion.netgen import PERIPHERY, build_graph
 from contagion.optimizer import (
@@ -222,6 +223,28 @@ def test_dp_horizon_zero(pa_graph_small):
     assert result.values.shape == (0, 4, 3)
     seed_seg = ["core", "intermediate", "periphery"].index(str(g.segments[3]))
     assert result.recommendation == int(np.argmax(result.immediate_reward[:, seed_seg]))
+
+
+def test_dp_probes_of_a_state_share_one_seed_array(pa_graph_small, monkeypatch):
+    # iter_cascades checks a seed list once per stretch of the same object,
+    # so a visited state's R probes must hold one array, not R slices of it
+    g = pa_graph_small
+    calls, real = [], optimizer.iter_cascades
+
+    def capture(graph, runs, params, tally=None):
+        runs = list(runs)
+        calls.append(runs)
+        return real(graph, runs, params, tally)
+
+    monkeypatch.setattr(optimizer, "iter_cascades", capture)
+    cfg = DpConfig(codebook=default_codebook(g, 57, 5), horizon=3, sims_per_estimate=3)
+    dp_policy(g, 57, cfg, SimParams(gamma=0.15, max_steps=30), rng_seed=5)
+    R = len(cfg.codebook)
+    probes = calls[1]
+    assert len(probes) > R and len(probes) % R == 0
+    for start in range(0, len(probes), R):
+        seeds = [probe[1] for probe in probes[start:start + R]]
+        assert all(s is seeds[0] for s in seeds)
 
 
 def test_dp_config_validation(pa_graph_small):

@@ -5,6 +5,8 @@ import pytest
 
 from contagion.errors import InvalidParameter
 from contagion.updyn import (
+    THIN_MARGIN,
+    TIE_EPS,
     Propagation,
     SimParams,
     activation_prob,
@@ -457,6 +459,39 @@ def test_drift_to_zero_tie_mass_keeps_other_terms():
     assert step_probs_matrix(state, c, g, params)[2] == pytest.approx(expected)
     assert step(state, c, g, params, Draws(expected - 1e-9)) == 1
     assert state.activation_time[2] == 2
+
+
+def test_thinning_cap_clears_a_probability_rounded_above_gamma(path4_uniform):
+    # without drift a probability passes gamma only by rounding; with the
+    # active mass a few ulps above the degree a draw of exactly gamma still
+    # lies below it and must fire, so the cap must sit above gamma
+    g = path4_uniform
+    c = self_propagation(g, 0)
+    params = SimParams(alpha=0.5, beta=0.5, gamma=0.05)
+    state = init_state(g, c, [0], params)
+    assert not state.owns_live and state.affinity_hat[1] == 1.0
+    degree = state.live_degree[1]
+    state.active_wsum[1] = degree + 4 * np.spacing(degree)
+    prob = params.gamma * (0.5 * 1.0 + 0.5 * (state.active_wsum[1] / degree))
+    assert prob > params.gamma
+    assert step(state, c, g, params, Draws(params.gamma)) == 1
+    assert state.activation_time[1] == 1
+
+
+def test_drift_rows_are_not_thinned(path4_uniform):
+    # under drift a degree just above TIE_EPS can lift the local term far
+    # above 1, so a draw above the cap must still get its probability
+    g = path4_uniform
+    c = self_propagation(g, 0)
+    params = SimParams(alpha=0.5, beta=0.5, gamma=0.05, drift=0.5)
+    state = init_state(g, c, [0], params)
+    assert state.owns_live
+    state.live_degree[1] = 2 * TIE_EPS
+    draw = 0.5
+    assert draw > params.gamma * (1.0 + THIN_MARGIN)
+    assert draw < params.gamma * (0.5 + 0.5 * state.active_wsum[1] / state.live_degree[1])
+    assert step(state, c, g, params, Draws(draw)) == 1
+    assert state.activation_time[1] == 1
 
 
 def test_as_propagation_coercion():
