@@ -193,12 +193,16 @@ def spearman(xs, ys) -> float:
 
 
 def kendall_tau(xs, ys) -> float:
-    """Kendall tau-b; NaN pairs are dropped first (e.g. empty-cell sweep means)."""
+    """Kendall tau-b; NaN pairs are dropped first (e.g. empty-cell sweep
+    means). A series that is constant after the drop raises, as in
+    ``spearman``."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     keep = ~(np.isnan(xs) | np.isnan(ys))
     xs, ys = xs[keep], ys[keep]
     if len(xs) < 2:
         raise InvalidParameter("series", "need at least 2 finite points")
+    if np.all(xs == xs[0]) or np.all(ys == ys[0]):
+        raise InvalidParameter("series", "constant input; rank correlation undefined")
     tau, _ = stats.kendalltau(xs, ys)
     return float(tau)

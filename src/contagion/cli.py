@@ -57,7 +57,7 @@ from .netgen import build_graph, load_graph, save_graph
 from .optimizer import BeamConfig, beam_search, build_candidate_pool
 from .plotting import render_hist_svg, render_line_svg
 from .rng import derive_seed
-from .updyn import Propagation, RunTally, SimParams, check_seeds, iter_cascades
+from .updyn import CascadeRecord, Propagation, RunTally, SimParams, check_seeds, self_propagation
 
 # ---------------------------------------------------------------------------
 # plumbing
@@ -497,8 +497,8 @@ def _sim_params_from(opts) -> SimParams:
         raise InvalidParameter(key, str(err).removeprefix(f"{err.field}: ")) from None
 
 
-def _read_prop_vector(path) -> np.ndarray:
-    """Unit vector from a ``{"vector": [...]}`` JSON file."""
+def _read_prop_vector(path) -> Propagation:
+    """The propagation of a ``{"vector": [...]}`` JSON file, normalized."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -506,7 +506,7 @@ def _read_prop_vector(path) -> np.ndarray:
             raise InvalidParameter("prop", f"{path}: not valid JSON ({err})") from None
     if not isinstance(doc, dict) or "vector" not in doc:
         raise InvalidParameter("prop", f'{path}: expected an object with a "vector" list')
-    return Propagation.from_vector(doc["vector"]).vec
+    return Propagation.from_vector(doc["vector"])
 
 
 def _counts(vals) -> bool:
@@ -561,11 +561,6 @@ def _read_runs(path, n: int) -> list:
     return records
 
 
-def _record_dicts(g, runs, params):
-    tally = RunTally()
-    return [rec.to_dict() for rec in iter_cascades(g, runs, params, tally)], tally
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -592,7 +587,7 @@ def cmd_simulate(opts) -> Done:
     seeds = check_seeds(g, seeds)
     cosine = None
     if prop_mode == "self":
-        vec = g.features.rows[seeds[0]].copy()
+        prop = self_propagation(g, seeds[0])
     elif prop_mode.startswith("affinity:"):
         try:
             cosine = float(prop_mode.split(":", 1)[1])
@@ -600,15 +595,15 @@ def cmd_simulate(opts) -> Done:
             raise InvalidParameter("prop", f"bad affinity cosine in {prop_mode!r}")
     else:
         opts.inputs.append(prop_mode)
-        vec = _read_prop_vector(prop_mode)
+        prop = _read_prop_vector(prop_mode)
     runs = []
     for i in range(opts["runs"]):
         if cosine is not None:
             rng = np.random.default_rng(derive_seed(master_seed, "dir", i))
-            vec = misaligned_vector(g.features.rows[seeds[0]], cosine, rng)
-        runs.append((Propagation(vec=vec), seeds, derive_seed(master_seed, "run", i)))
+            prop = Propagation(vec=misaligned_vector(g.features.rows[seeds[0]], cosine, rng))
+        runs.append((prop, seeds, derive_seed(master_seed, "run", i)))
     tally = RunTally()
-    records = pool_map(_record_dicts, g, runs, (params,), opts["jobs"], tally)
+    records = pool_map(g, runs, params, CascadeRecord.to_dict, opts["jobs"], tally)
     mean = np.mean([r["final_spread"] for r in records])
     return Done({out: records}, f"wrote {out}: {len(records)} runs, mean spread {mean:.1f}",
                 metrics=tally.to_dict())
@@ -691,7 +686,9 @@ def _experiment_outputs(rq: int, result: dict, out_dir: Path) -> dict:
 
 @command
 def cmd_experiment(opts) -> Done:
-    cfg = ExperimentConfig.from_dict(opts.file) if opts.file else ExperimentConfig()
+    # rq, axis and out-dir are the command's own keys, not the config's
+    own = {key.name for key in COMMANDS["experiment"][1]}
+    cfg = ExperimentConfig.from_dict({k: v for k, v in opts.file.items() if k not in own})
     opts.config = {**cfg.to_dict(), **opts.config}
     rq, out_dir = opts["rq"], Path(opts["out-dir"])
     run = {1: rq1_spread_distribution, 2: rq2_growth_curves, 3: rq3_size_scaling,

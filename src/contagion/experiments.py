@@ -14,6 +14,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .analytics import kendall_tau, run_outcome, spearman, spread_histogram
 from .errors import ConfigError, InvalidParameter
 from .netgen import CORE, INTERMEDIATE, PERIPHERY, WeightedGraph, build_graph, diameter
 from .rng import derive_seed
-from .updyn import Propagation, RunTally, SimParams, _is_int, iter_cascades
+from .updyn import Propagation, RunTally, SimParams, _is_int, iter_cascades, self_propagation
 from .updyn import run_cascade  # noqa: F401  re-exported
 
 logger = logging.getLogger(__name__)
@@ -147,7 +148,6 @@ def select_nodes(cfg: ExperimentConfig, g: WeightedGraph) -> np.ndarray:
 @dataclass(frozen=True)
 class RunSummary:
     node: int
-    run_index: int
     spread: int
     viral: bool
     time_to_virality: int | None
@@ -162,25 +162,33 @@ def _worker_init(graph: WeightedGraph):
     _WORKER["graph"] = graph
 
 
+def _reduce_runs(g: WeightedGraph, runs, params: SimParams, reduce):
+    # reduced as each batch comes back, so at most one batch of records
+    # (each with an n-length activation_time) is alive at a time
+    tally = RunTally()
+    return [reduce(rec) for rec in iter_cascades(g, runs, params, tally)], tally
+
+
 def _worker_run(job):
-    fn, items, args = job
-    return fn(_WORKER["graph"], items, *args)
+    return _reduce_runs(_WORKER["graph"], *job)
 
 
-def pool_map(fn, g: WeightedGraph, items, args=(), jobs: int = 1,
+def pool_map(g: WeightedGraph, runs, params: SimParams, reduce, jobs: int = 1,
              tally: RunTally | None = None) -> list:
-    """Apply ``fn(g, items, *args) -> (outputs, RunTally)`` to ``items``.
+    """``[reduce(rec) for rec in iter_cascades(g, runs, params)]``, where a
+    run is ``(propagation, seeds, rng_seed)``.
 
-    With ``jobs > 1`` contiguous slices of the items run in a process pool.
-    Outputs follow the input order regardless of worker count; ``tally``,
-    when given, accumulates the slices' tallies.
+    With ``jobs > 1`` and at least 4 runs, ``4 * jobs`` contiguous slices
+    of the runs go to a process pool, so ``reduce`` must pickle. Outputs
+    follow the input order regardless of worker count; ``tally``, when
+    given, accumulates the slices' tallies.
     """
-    items = list(items)
-    if jobs <= 1 or len(items) < 4:
-        parts = [fn(g, items, *args)]
+    runs = list(runs)
+    if jobs <= 1 or len(runs) < 4:
+        parts = [_reduce_runs(g, runs, params, reduce)]
     else:
-        bounds = np.linspace(0, len(items), min(len(items), 4 * jobs) + 1).astype(int)
-        work = [(fn, items[a:b], args) for a, b in zip(bounds[:-1], bounds[1:])]
+        bounds = np.linspace(0, len(runs), min(len(runs), 4 * jobs) + 1).astype(int)
+        work = [(runs[a:b], params, reduce) for a, b in zip(bounds[:-1], bounds[1:])]
         # under fork the pool starts all its workers at once
         workers = min(jobs, len(work), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
@@ -194,12 +202,11 @@ def pool_map(fn, g: WeightedGraph, items, args=(), jobs: int = 1,
     return outputs
 
 
-def _summarize(rec, run_index, params, keep_series) -> RunSummary:
+def _summarize(rec, keep_series) -> RunSummary:
     viral, ttv, tipping = run_outcome(rec.new_per_step, rec.final_spread, rec.n,
-                                      params.viral_fraction)
+                                      rec.params.viral_fraction)
     return RunSummary(
         node=int(rec.seed_set[0]),
-        run_index=int(run_index),
         spread=rec.final_spread,
         viral=viral,
         time_to_virality=ttv,
@@ -208,21 +215,11 @@ def _summarize(rec, run_index, params, keep_series) -> RunSummary:
     )
 
 
-def _summarize_tasks(g, tasks, params, keep_series):
-    # summarized as each batch comes back, so at most one batch of records
-    # (each with an n-length activation_time) is alive at a time
-    tally = RunTally()
-    records = iter_cascades(g, [(Propagation(vec=vec), [node], seed)
-                                for node, vec, _, seed in tasks], params, tally)
-    return [_summarize(rec, idx, params, keep_series)
-            for (_, _, idx, _), rec in zip(tasks, records)], tally
-
-
-def run_batch(g: WeightedGraph, tasks, params: SimParams, jobs: int = 1,
+def run_batch(g: WeightedGraph, runs, params: SimParams, jobs: int = 1,
               keep_series: bool = False, tally: RunTally | None = None) -> list:
-    """Execute (node, vec, run_index, seed) tasks as lockstep cascades; order
-    follows the input list regardless of worker count."""
-    return pool_map(_summarize_tasks, g, tasks, (params, keep_series), jobs, tally)
+    """One ``RunSummary`` per ``(propagation, seeds, rng_seed)`` run, in
+    input order regardless of worker count."""
+    return pool_map(g, runs, params, partial(_summarize, keep_series=keep_series), jobs, tally)
 
 
 def _graph(cfg: ExperimentConfig, g: WeightedGraph | None) -> WeightedGraph:
@@ -244,11 +241,15 @@ def _virality(summaries) -> dict:
     }
 
 
-def _self_tasks(cfg: ExperimentConfig, g: WeightedGraph, nodes, label: str):
+def _self_runs(cfg: ExperimentConfig, g: WeightedGraph, nodes, *label):
+    """Self-propagation runs, node-major: ``runs_per_node`` per node, run i
+    of node v seeded ``derive_seed(master_seed, *label, v, i)``. A node's
+    runs share one propagation and one seed list."""
     for node in nodes:
-        vec = g.features.rows[int(node)].copy()
+        node = int(node)
+        prop, seeds = self_propagation(g, node), [node]
         for i in range(cfg.runs_per_node):
-            yield int(node), vec, i, derive_seed(cfg.master_seed, label, int(node), i)
+            yield prop, seeds, derive_seed(cfg.master_seed, *label, node, i)
 
 
 def rq1_spread_distribution(cfg: ExperimentConfig, g: WeightedGraph | None = None, *,
@@ -261,17 +262,17 @@ def rq1_spread_distribution(cfg: ExperimentConfig, g: WeightedGraph | None = Non
     """
     g = _graph(cfg, g)
     nodes = select_nodes(cfg, g)
-    summaries = run_batch(g, _self_tasks(cfg, g, nodes, "rq1"), cfg.params, cfg.jobs,
+    summaries = run_batch(g, _self_runs(cfg, g, nodes, "rq1"), cfg.params, cfg.jobs,
                           tally=tally)
 
     degree = g.raw.degree
     runs_rows = []
-    for s in summaries:
+    for j, s in enumerate(summaries):
         runs_rows.append({
             "node": s.node,
             "segment": str(g.segments[s.node]),
             "degree": int(degree[s.node]),
-            "run_index": s.run_index,
+            "run_index": j % cfg.runs_per_node,
             "spread": s.spread,
             "viral": int(s.viral),
             "time_to_virality": s.time_to_virality,
@@ -337,16 +338,17 @@ def rq2_growth_curves(cfg: ExperimentConfig, g: WeightedGraph | None = None, *,
         picks.extend(int(x) for x in rng.choice(members, size=take, replace=False))
 
     summaries = run_batch(
-        g, _self_tasks(cfg, g, picks, "rq2"), cfg.params, cfg.jobs, keep_series=True,
+        g, _self_runs(cfg, g, picks, "rq2"), cfg.params, cfg.jobs, keep_series=True,
         tally=tally,
     )
-    viral = [s for s in summaries if s.viral]
+    # runs are node-major, runs_per_node to a node
+    viral = [(j % cfg.runs_per_node, s) for j, s in enumerate(summaries) if s.viral]
     if not viral:
         logger.warning("rq2: no viral runs under this configuration")
 
     series_rows = []
     tipping_rows = []
-    for s in viral:
+    for run_index, s in viral:
         segment = str(g.segments[s.node])
         cumulative = 0
         for t, new in enumerate(s.new_per_step):
@@ -354,7 +356,7 @@ def rq2_growth_curves(cfg: ExperimentConfig, g: WeightedGraph | None = None, *,
             series_rows.append({
                 "segment": segment,
                 "node": s.node,
-                "run_index": s.run_index,
+                "run_index": run_index,
                 "step": t,
                 "new": new,
                 "cumulative": cumulative,
@@ -362,7 +364,7 @@ def rq2_growth_curves(cfg: ExperimentConfig, g: WeightedGraph | None = None, *,
         tipping_rows.append({
             "segment": segment,
             "node": s.node,
-            "run_index": s.run_index,
+            "run_index": run_index,
             "tipping": s.tipping,
             "time_to_virality": s.time_to_virality,
             "spread": s.spread,
@@ -370,7 +372,7 @@ def rq2_growth_curves(cfg: ExperimentConfig, g: WeightedGraph | None = None, *,
     summary = [{
         "n_runs": len(summaries),
         "n_viral": len(viral),
-        "max_wave_after_step1_frac": float(np.mean([s.tipping is not None and s.tipping > 1 for s in viral]))
+        "max_wave_after_step1_frac": float(np.mean([(s.tipping or 0) > 1 for _, s in viral]))
         if viral else None,
     }]
     return {"series": series_rows, "tipping": tipping_rows, "summary": summary}
@@ -392,13 +394,8 @@ def rq3_size_scaling(cfg: ExperimentConfig, *, tally: RunTally | None = None) ->
             rng = np.random.default_rng(derive_seed(cfg.master_seed, "rq3-pick", n, gi))
             take = min(cfg.seeds_per_graph, len(core_nodes))
             seeds = rng.choice(core_nodes, size=take, replace=False)
-            tasks = [
-                (int(v), g.features.rows[int(v)].copy(), i,
-                 derive_seed(cfg.master_seed, "rq3", n, gi, int(v), i))
-                for v in seeds
-                for i in range(cfg.runs_per_node)
-            ]
-            summaries = run_batch(g, tasks, cfg.params, cfg.jobs, tally=tally)
+            summaries = run_batch(g, _self_runs(cfg, g, seeds, "rq3", n, gi), cfg.params,
+                                  cfg.jobs, tally=tally)
             ttvs = [s.time_to_virality for s in summaries if s.time_to_virality is not None]
             rows.append({
                 "n": n,
@@ -461,7 +458,7 @@ def rq4_param_sweep(cfg: ExperimentConfig, axis: str | None = None,
         alpha, beta = sweep_weights(axis, float(value))
         params = replace(cfg.params, alpha=alpha, beta=beta)
         # same derived seeds at every grid value: paired comparisons
-        summaries = run_batch(g, _self_tasks(cfg, g, nodes, "rq4"), params, cfg.jobs,
+        summaries = run_batch(g, _self_runs(cfg, g, nodes, "rq4"), params, cfg.jobs,
                               tally=tally)
         rows.append({
             "value": float(value),
@@ -516,7 +513,7 @@ def rq5_affinity_sweep(cfg: ExperimentConfig, g: WeightedGraph | None = None, *,
 
     For every (node, run) the orthogonal direction and the cascade seed are
     drawn once and shared across the cosine grid, pairing the comparisons.
-    The tasks of every cosine run as one batch, so the grid values' long
+    The runs of every cosine go to one batch, so the grid values' long
     viral runs share lockstep steps; each value's summaries are its slice.
     """
     grid = cfg.sweep_values or tuple(np.linspace(-0.9, 0.9, 9))
@@ -526,20 +523,22 @@ def rq5_affinity_sweep(cfg: ExperimentConfig, g: WeightedGraph | None = None, *,
     g = _graph(cfg, g)
     nodes = select_nodes(cfg, g)
 
-    tasks, max_errs = [], []
+    seed_lists = [[int(node)] for node in nodes]
+    runs, max_errs = [], []
     for value in grid:
         dot_errs = []
-        for node in nodes:
-            node = int(node)
+        for seeds in seed_lists:
+            node = seeds[0]
             x = g.features.rows[node]
             for i in range(cfg.runs_per_node):
                 dir_rng = np.random.default_rng(derive_seed(cfg.master_seed, "rq5-dir", node, i))
                 vec = misaligned_vector(x, float(value), dir_rng)
                 dot_errs.append(abs(float(vec @ x) - float(value)))
-                tasks.append((node, vec, i, derive_seed(cfg.master_seed, "rq5", node, i)))
+                runs.append((Propagation(vec=vec), seeds,
+                             derive_seed(cfg.master_seed, "rq5", node, i)))
         max_errs.append(float(np.max(dot_errs)))
-    summaries = run_batch(g, tasks, cfg.params, cfg.jobs, tally=tally)
-    size = len(tasks) // len(grid)
+    summaries = run_batch(g, runs, cfg.params, cfg.jobs, tally=tally)
+    size = len(runs) // len(grid)
     rows = [{
         "cosine": float(value),
         **_virality(summaries[j * size:(j + 1) * size]),

@@ -41,7 +41,6 @@ class CascadeTrace:
     trace_id: str
     members: tuple
     edges: tuple  # (influencer, influenced) pairs, both members
-    graph_ref: str | None = None
 
     def __post_init__(self):
         rank = dict(zip(self.members, range(len(self.members))))
@@ -421,7 +420,6 @@ def prefix_subcascades(trace: CascadeTrace) -> list:
                 trace_id=f"{trace.trace_id}#prefix{m}",
                 members=members,
                 edges=edges,
-                graph_ref=trace.graph_ref,
             )
         )
     return out

@@ -704,10 +704,11 @@ def rq5_grid_per_cosine(cfg, g, tally):
     it was before its grid values ran as one batch."""
     from contagion.experiments import misaligned_vector, run_batch, select_nodes
     from contagion.rng import derive_seed
+    from contagion.updyn import Propagation
 
     rows = []
     for value in cfg.sweep_values:
-        tasks, dot_errs = [], []
+        runs, dot_errs = [], []
         for node in select_nodes(cfg, g):
             node = int(node)
             x = g.features.rows[node]
@@ -715,8 +716,9 @@ def rq5_grid_per_cosine(cfg, g, tally):
                 dir_rng = np.random.default_rng(derive_seed(cfg.master_seed, "rq5-dir", node, i))
                 vec = misaligned_vector(x, float(value), dir_rng)
                 dot_errs.append(abs(float(vec @ x) - float(value)))
-                tasks.append((node, vec, i, derive_seed(cfg.master_seed, "rq5", node, i)))
-        summaries = run_batch(g, tasks, cfg.params, 1, tally=tally)
+                runs.append((Propagation(vec=vec), [node],
+                             derive_seed(cfg.master_seed, "rq5", node, i)))
+        summaries = run_batch(g, runs, cfg.params, 1, tally=tally)
         ttvs = [s.time_to_virality for s in summaries if s.time_to_virality is not None]
         rows.append({
             "cosine": float(value),

@@ -153,3 +153,11 @@ def test_kendall_tau_drops_nans():
     assert tau == pytest.approx(1.0)
     with pytest.raises(InvalidParameter):
         kendall_tau([1.0], [2.0])
+
+
+@pytest.mark.parametrize("xs, ys", [([1, 2, 3], [0, 0, 0]), ([4, 4, 4], [1, 2, 3]),
+                                    ([1, 2, 3, 4], [5, 5, np.nan, 5])])
+def test_kendall_tau_constant_series_raises(xs, ys):
+    # tau-b is 0/0 on a constant series; spearman raises the same way
+    with pytest.raises(InvalidParameter, match="constant input"):
+        kendall_tau(xs, ys)

@@ -480,6 +480,20 @@ def test_experiment_rq4_needs_axis(tmp_path, capsys):
     assert code == 0
 
 
+def test_experiment_rq4_undefined_tau_is_an_empty_cell(tmp_path):
+    # gamma 0: every run dies at its seed, so each grid value's virality
+    # frequency is 0 and no time to virality exists
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"graph": {"n": 40, "r": 2, "embed_dim": 3, "seed": 1},
+                               "params": {"gamma": 0.0, "epsilon": 1}, "runs_per_node": 1,
+                               "node_selection": "sample:2", "sweep_values": [0.2, 0.5, 0.8]}))
+    code = run_cli("experiment", "--rq", "4", "--axis", "beta", "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "r4"))
+    assert code == 0
+    assert (tmp_path / "r4" / "rq4_summary.csv").read_text().splitlines() == [
+        "axis,kendall_tau_frequency,kendall_tau_time", "beta,,"]
+
+
 def _learner_logs(tmp_path):
     trust = tmp_path / "trust.tsv"
     ratings = tmp_path / "ratings.tsv"

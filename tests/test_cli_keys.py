@@ -199,3 +199,28 @@ def test_analyze_refuses_a_runs_file_as_the_graph(inputs, tmp_path, monkeypatch,
     assert dispatch(["analyze", "--runs", runs, "--graph", runs, "--report", "r.json"]) == 2
     assert f"error: graph: {runs}: " in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def _outputs(directory) -> dict:
+    """Every file a run wrote, by relative path; manifests and configs aside."""
+    return {str(p.relative_to(directory)): p.read_bytes() for p in sorted(directory.rglob("*"))
+            if p.is_file() and p.name != "manifest.json" and not p.name.startswith("cfg")}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_every_base_key_can_come_from_the_config(inputs, tmp_path, monkeypatch, capsys, command):
+    # the same keys as flags or from --config give the same outputs
+    run = Runner(command, inputs, tmp_path / "flag")
+    config = {**run.base, **(EXPERIMENT if command == "experiment" else {})}
+    written = []
+    for cwd in (tmp_path / "flag", tmp_path / "config"):
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        if cwd.name == "flag":
+            code = run()
+        else:
+            (cwd / "cfg.json").write_text(json.dumps(config))
+            code = dispatch([command, "--config", str(cwd / "cfg.json")])
+        assert code == 0, capsys.readouterr().err
+        written.append(_outputs(cwd))
+    assert written[0] and written[0] == written[1]

@@ -238,15 +238,15 @@ def test_run_batch_holds_one_batch_of_records(pa_graph_small, monkeypatch):
     seen, most_alive = [], 0
     summarize = experiments._summarize
 
-    def tracked(rec, *args):
+    def tracked(rec, **kwargs):
         nonlocal most_alive
         seen.append(weakref.ref(rec))
         most_alive = max(most_alive, sum(r() is not None for r in seen))
-        return summarize(rec, *args)
+        return summarize(rec, **kwargs)
 
     monkeypatch.setattr(experiments, "_summarize", tracked)
-    tasks = [(v, g.features.rows[v].copy(), 0, derive_seed(4, v)) for v in range(40)]
-    summaries = run_batch(g, tasks, SimParams(gamma=0.15, epsilon=3))
+    runs = [(self_propagation(g, v), [v], derive_seed(4, v)) for v in range(40)]
+    summaries = run_batch(g, runs, SimParams(gamma=0.15, epsilon=3))
     assert len(summaries) == len(seen) == 40
     assert most_alive <= 4
 
@@ -254,12 +254,12 @@ def test_run_batch_holds_one_batch_of_records(pa_graph_small, monkeypatch):
 def test_run_batch_pool_keeps_order_and_tally(pa_graph_small):
     g = pa_graph_small
     params = SimParams(gamma=0.15, epsilon=3)
-    tasks = [(v, g.features.rows[v].copy(), i, derive_seed(9, v, i))
-             for v in (0, 5, 9, 57, 199) for i in range(4)]
+    runs = [(self_propagation(g, v), [v], derive_seed(9, v, i))
+            for v in (0, 5, 9, 57, 199) for i in range(4)]
     serial, parallel = RunTally(), RunTally()
-    assert run_batch(g, tasks, params, jobs=1, tally=serial) == \
-        run_batch(g, tasks, params, jobs=2, tally=parallel)
-    assert serial == parallel and serial.cascades == len(tasks)
+    assert run_batch(g, runs, params, jobs=1, tally=serial) == \
+        run_batch(g, runs, params, jobs=2, tally=parallel)
+    assert serial == parallel and serial.cascades == len(runs)
 
 
 def test_estimate_spread_matches_reference(pa_graph_small):

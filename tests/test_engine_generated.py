@@ -107,6 +107,31 @@ def drifting_batches(draw):
     return g, runs, params, draw(st.integers(2, 4))
 
 
+@st.composite
+def near_cap_batches(draw):
+    """Runs whose activation probabilities sit within 0.1% of gamma, the
+    thinning cap's edge: every feature lies along the propagation (affinity
+    1 up to at most 1e-6), each target ties only to hubs and every hub is a
+    seed (local term 1), and alpha + beta is at least 0.9995 (a global term
+    of at most 5e-4). A draw fires below gamma but lands within 0.1% of it
+    about once in a thousand targets, so each example has thousands."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    hubs, targets, k = draw(st.integers(1, 4)), draw(st.integers(1500, 3000)), draw(st.integers(2, 3))
+    ties = [(int(h), hubs + t) for t in range(targets)
+            for h in rng.choice(hubs, size=rng.integers(1, hubs + 1), replace=False)]
+    direction = _unit(rng, k)
+    rows = direction + draw(st.sampled_from([0.0, 1e-3])) * rng.standard_normal((hubs + targets, k))
+    g = assign_edge_weights(raw_from_edges(hubs + targets, sorted(ties)),
+                            make_unit_features(rows / np.linalg.norm(rows, axis=1, keepdims=True)))
+    c = Propagation(vec=direction)
+    seeds = list(range(hubs))
+    runs = [(c, seeds, int(s)) for s in rng.integers(0, 2 ** 62, size=draw(st.integers(4, 8)))]
+    alpha, beta = draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.3, 0.6995)]))
+    params = SimParams(alpha=alpha, beta=beta, gamma=draw(st.sampled_from([0.3, 0.7, 0.95, 0.999])),
+                       epsilon=2)
+    return g, runs, params, draw(st.integers(1, 4))
+
+
 def _assert_batches_match_reference(g, runs, params, rows_per_batch):
     row_cells = 5 * g.n
     if params.drift > 0.0:
@@ -143,4 +168,10 @@ def test_lockstep_batches_match_reference(batch):
 @settings(max_examples=100, deadline=None)
 @given(drifting_batches())
 def test_drifting_batches_match_reference(batch):
+    _assert_batches_match_reference(*batch)
+
+
+@settings(max_examples=10, deadline=None)
+@given(near_cap_batches())
+def test_near_cap_batches_match_reference(batch):
     _assert_batches_match_reference(*batch)

@@ -16,7 +16,7 @@ from contagion.experiments import (
     select_nodes,
     sweep_weights,
 )
-from contagion.updyn import Propagation, RunTally, SimParams, run_cascade
+from contagion.updyn import Propagation, RunTally, SimParams, run_cascade, self_propagation
 from tests.oracles import rq5_grid_per_cosine
 
 
@@ -217,13 +217,13 @@ def test_rq5_grid_validation(pa_graph_small):
 def test_run_batch_parallel_matches_serial(pa_graph_small):
     g = pa_graph_small
     params = SimParams(epsilon=3)
-    tasks = [
-        (v, g.features.rows[v].copy(), i, 1000 + 10 * v + i)
+    runs = [
+        (self_propagation(g, v), [v], 1000 + 10 * v + i)
         for v in (0, 5, 9)
         for i in range(3)
     ]
-    serial = run_batch(g, tasks, params, jobs=1)
-    parallel = run_batch(g, tasks, params, jobs=2)
+    serial = run_batch(g, runs, params, jobs=1)
+    parallel = run_batch(g, runs, params, jobs=2)
     assert serial == parallel
 
 
@@ -249,9 +249,9 @@ def test_pool_map_starts_no_more_workers_than_slices_or_cores(pa_graph_small, mo
     monkeypatch.setattr(experiments, "_WORKER", {})
     g = pa_graph_small
     params = SimParams(epsilon=3, max_steps=20)
-    tasks = [(v, g.features.rows[v].copy(), 0, 100 + v) for v in range(8)]
-    serial = run_batch(g, tasks, params, jobs=1)
+    runs = [(self_propagation(g, v), [v], 100 + v) for v in range(8)]
+    serial = run_batch(g, runs, params, jobs=1)
     for cores, jobs, workers in [(64, 5000, 8), (64, 3, 3), (2, 5000, 2), (None, 5000, 1)]:
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
-        assert run_batch(g, tasks, params, jobs=jobs) == serial
+        assert run_batch(g, runs, params, jobs=jobs) == serial
         assert started.pop() == workers
